@@ -103,6 +103,9 @@ class DenoiserConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenoiserConfig":
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown model config keys: {', '.join(unknown)}")
         return cls(**d)
 
 

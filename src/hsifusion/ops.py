@@ -39,7 +39,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     if kernel.data.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
         raise ValueError(f"conv2d kernel must be (C_out, C_in, k, k), got {kernel.shape}")
     c_in, h, w = x.shape
-    c_out, kc_in, k, _ = kernel.shape
+    _, kc_in, k, _ = kernel.shape
     if kc_in != c_in:
         raise ValueError(f"conv2d: input has {c_in} channels, kernel expects {kc_in}")
     if k % 2 == 0:
@@ -64,27 +64,15 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
         if kernel.requires_grad:
             kernel.accumulate_grad(np.tensordot(g, win, axes=([1, 2], [1, 2])))
         if x.requires_grad:
-            # transposed convolution: zero-stuff the stride, pad k-1, correlate
-            # with the spatially flipped kernel
-            if stride > 1:
-                gs = np.zeros(
-                    (c_out, (h_out - 1) * stride + 1, (w_out - 1) * stride + 1), dtype=g.dtype
-                )
-                gs[:, ::stride, ::stride] = g
-            else:
-                gs = g
-            gf = np.pad(gs, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-            win_g = sliding_window_view(gf, (k, k), axis=(1, 2))
-            kflip = kernel.data[:, :, ::-1, ::-1]
-            gxp = np.tensordot(kflip, win_g, axes=([0, 2, 3], [0, 3, 4]))
-            # rows/cols the strided forward never reached get zero gradient
-            tail_h = h + 2 * padding - gxp.shape[1]
-            tail_w = w + 2 * padding - gxp.shape[2]
-            if tail_h or tail_w:
-                gxp = np.pad(gxp, ((0, 0), (0, tail_h), (0, tail_w)))
-            if padding:
-                gxp = gxp[:, padding:padding + h, padding:padding + w]
-            x.accumulate_grad(gxp)
+            # adjoint of the window gather: scatter-add each tap's columns back
+            # onto the padded input; rows the strided forward never read stay 0
+            cols = np.tensordot(kernel.data, g, axes=([0], [0]))  # (C_in, k, k, H_out, W_out)
+            gxp = np.zeros_like(xp)
+            for i in range(k):
+                for j in range(k):
+                    gxp[:, i:i + stride * (h_out - 1) + 1:stride,
+                        j:j + stride * (w_out - 1) + 1:stride] += cols[:, i, j]
+            x.accumulate_grad(gxp[:, padding:padding + h, padding:padding + w])
 
     return from_op(np.ascontiguousarray(out), (x, kernel), bwd)
 
@@ -208,13 +196,8 @@ def group_norm(x, groups: int, gamma, beta) -> Tensor:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # branch on sign so neither exp overflows
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # tanh is bounded, so no input overflows
+    return 0.5 + 0.5 * np.tanh(0.5 * v)
 
 
 def silu(x) -> Tensor:
@@ -309,28 +292,6 @@ def concat_channels(tensors) -> Tensor:
     return from_op(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), bwd)
 
 
-def split_channels(x, sizes):
-    """Inverse of concat_channels; returns a tuple of (C_i, H, W) tensors."""
-    x = as_tensor(x)
-    _require_chw(x, "split_channels")
-    if sum(sizes) != x.shape[0]:
-        raise ValueError(f"split_channels: sizes {sizes} do not sum to {x.shape[0]}")
-    outs = []
-    lo = 0
-    for sz in sizes:
-        lo_, hi_ = lo, lo + sz
-
-        def bwd(g, lo=lo_, hi=hi_):
-            if x.requires_grad:
-                gx = np.zeros_like(x.data)
-                gx[lo:hi] = g
-                x.accumulate_grad(gx)
-
-        outs.append(from_op(np.ascontiguousarray(x.data[lo_:hi_]), (x,), bwd))
-        lo += sz
-    return tuple(outs)
-
-
 # ---------------------------------------------------------------------------
 # Attention
 # ---------------------------------------------------------------------------
@@ -354,12 +315,3 @@ def self_attention(x, wq, wk, wv, wo) -> Tensor:
     ctx = matmul(matmul(attn, v), as_tensor(wo))
     out = reshape(transpose(ctx, (1, 0)), (c, h, w))
     return x + out
-
-
-def attention_weights(x_data: np.ndarray, wq: np.ndarray, wk: np.ndarray) -> np.ndarray:
-    """The (HW, HW) attention matrix alone, for inspection and tests."""
-    c = x_data.shape[0]
-    tokens = x_data.reshape(c, -1).T
-    logits = (tokens @ wq) @ (tokens @ wk).T / np.sqrt(c)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)

@@ -129,6 +129,10 @@ def fuse(
     """
     if tau.steps[-1] != sched.T:
         raise ValueError(f"tau ends at {tau.steps[-1]} but the schedule has T={sched.T}")
+    if tile is not None and not 1 <= tile_stride <= tile:
+        raise ValueError(
+            f"need 1 <= tile_stride <= tile, got tile={tile}, tile_stride={tile_stride}"
+        )
     y_arr = as_cube_array(y)
     z_arr = as_cube_array(z)
     if y_arr.shape[0] != cfg.bands:
@@ -203,7 +207,7 @@ def _fuse_tiled(params, cfg, sched, z_arr, y_up, x_init, tau, sigma_mode,
     if tile % 2 ** (cfg.levels - 1):
         raise ValueError(f"tile {tile} not divisible by 2^(levels-1)")
     H, W = z_arr.shape[1:]
-    overlap = max(tile - stride, 0)
+    overlap = tile - stride
     win = _feather(tile, overlap)
     acc = np.zeros((cfg.bands, H, W), dtype=np.float64)
     weight = np.zeros((H, W), dtype=np.float64)

@@ -43,10 +43,7 @@ class NoiseSchedule:
 
         # 1 - ab_t by the recurrence om_t = om_{t-1} + b_t ab_{t-1};
         # subtracting ab_t from 1 directly would cancel badly for small t
-        om = np.empty(self.T + 1, dtype=np.float64)
-        om[0] = 0.0
-        for t in range(1, self.T + 1):
-            om[t] = om[t - 1] + betas[t - 1] * alpha_bars[t - 1]
+        om = np.concatenate([[0.0], np.cumsum(betas * alpha_bars[:-1])])
         object.__setattr__(self, "one_minus_alpha_bars", om)
 
         prev_ab = alpha_bars[:-1]

@@ -36,7 +36,6 @@ class TrainConfig:
     beta_end: float = 0.01
     seed: int = 0
     checkpoint_every: int = 10_000
-    grad_clip: float | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -51,6 +50,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown train config keys: {', '.join(unknown)}")
         return cls(**d)
 
 
@@ -106,20 +108,6 @@ def cosine_lr(step: int, lr_max: float, cycle: int) -> float:
     return lr_max * (1.0 + np.cos(np.pi * phase)) / 2.0
 
 
-def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = float(np.sqrt(total))
-    if norm > max_norm > 0:
-        factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= factor
-    return norm
-
-
 def sample_patch(dataset, patch: int, scale: int, rng: np.random.Generator):
     """Aligned random crop triple (x0, y, z) from a random training image.
 
@@ -152,7 +140,6 @@ def train_step(
     lr: float,
     rng: np.random.Generator,
     cfg: DenoiserConfig,
-    grad_clip: float | None = None,
 ) -> float:
     """One optimization step on a batch of (x0, y, z) triples.
 
@@ -177,8 +164,6 @@ def train_step(
     if not np.isfinite(value):
         raise TrainingError(f"non-finite loss {value} at optimizer step {opt.step + 1}")
     backward(loss)
-    if grad_clip is not None:
-        clip_grad_norm(params, grad_clip)
     adam_step(params, opt, lr)
     for p in params.values():
         p.zero_grad()
@@ -246,10 +231,7 @@ def train(
                 sample_patch(dataset, train_cfg.patch, model_cfg.scale, rng)
                 for _ in range(train_cfg.batch_size)
             ]
-            loss = train_step(
-                params, opt, batch, sched, train_cfg.loss_p, lr, rng, model_cfg,
-                grad_clip=train_cfg.grad_clip,
-            )
+            loss = train_step(params, opt, batch, sched, train_cfg.loss_p, lr, rng, model_cfg)
             done = step + 1
             if done % log_every == 0 or done == train_cfg.iterations:
                 log.write(f"{done}\t{loss:.6g}\t{lr:.6g}\n")

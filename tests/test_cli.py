@@ -117,6 +117,21 @@ class TestFuse:
                    "--msi", str(tmp / "lr.hsic"), "--out", str(tmp / "x.hsic")])
         assert rc != 0
 
+    def test_default_tile_stride_beyond_tile_rejected(self, workspace, rng, capsys):
+        # --tile 16 with the default --tile-stride 48 used to leave zero stripes
+        tmp, gt, srf, cube = workspace
+        main(["simulate", "--in", str(gt), "--block", str(SCALE), "--srf", str(srf),
+              "--out-lr", str(tmp / "lr.hsic"), "--out-msi", str(tmp / "msi.hsic")])
+        ckpt, _ = make_checkpoint(tmp, rng)
+        capsys.readouterr()
+        rc = main(["fuse", "--checkpoint", str(ckpt), "--lr", str(tmp / "lr.hsic"),
+                   "--msi", str(tmp / "msi.hsic"), "--tile", "16",
+                   "--out", str(tmp / "x.hsic")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tile=16, tile_stride=48" in err
+        assert not (tmp / "x.hsic").exists()
+
 
 def write_run_config(tmp_path, entries_train, entries_test, iterations=2):
     cfg = {
@@ -175,6 +190,17 @@ class TestTrainCommand:
         cfg_path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="divisible"):
             load_run_config(cfg_path)
+
+    @pytest.mark.parametrize("section,key", [("model", "base_chanels"), ("train", "grad_clip")])
+    def test_unknown_config_key_named(self, dataset_on_disk, capsys, section, key):
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, entries[:1], [])
+        doc = json.loads(cfg_path.read_text())
+        doc[section][key] = 1.0
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
 
 class TestAblateCommand:

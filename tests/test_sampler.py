@@ -189,6 +189,13 @@ class TestFuse:
         assert np.all(np.isfinite(tiled))
         assert np.mean(np.abs(tiled - whole)) < 0.2
 
+    @pytest.mark.parametrize("tile,stride", [(8, 12), (8, 0), (-8, 4)])
+    def test_bad_tile_stride_rejected(self, fusion_setup, tile, stride):
+        # a stride beyond the tile would leave unvisited, all-zero stripes
+        cfg, params, sched, y, z = fusion_setup
+        with pytest.raises(ValueError, match=f"tile={tile}, tile_stride={stride}"):
+            fuse(params, cfg, sched, y, z, select_tau(40, 1), tile=tile, tile_stride=stride)
+
     def test_wall_time_decreases_with_fewer_steps(self, fusion_setup):
         import time
 

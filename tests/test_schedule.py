@@ -107,8 +107,10 @@ class TestPosteriorCoeffs:
 class TestInvariants:
     def test_alpha_bar_recurrence_exact(self, sched2000):
         ab = sched2000.alpha_bars
+        om = sched2000.one_minus_alpha_bars
         for t in range(1, 2001):
             assert ab[t] == ab[t - 1] * (1.0 - sched2000.betas[t - 1])
+            assert om[t] == om[t - 1] + sched2000.betas[t - 1] * ab[t - 1]
 
     def test_posterior_variance_bounded_by_beta(self, sched2000):
         assert np.all(sched2000.posterior_vars >= 0)
