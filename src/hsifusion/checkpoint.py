@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
+from .datacube import _atomic_open
 from .denoiser import DenoiserConfig
 
 MAGIC = b"HSIFCKPT"
@@ -88,7 +89,7 @@ def save_checkpoint(
                 blobs.append(np.ascontiguousarray(mom).tobytes())
 
     head = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(head)))

@@ -15,6 +15,8 @@ and byte-countable from the header alone.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +73,25 @@ def as_cube_array(x) -> np.ndarray:
     return arr
 
 
+@contextmanager
+def _atomic_open(path):
+    """Binary file handle whose contents replace ``path`` only once complete.
+
+    Writes go to a temporary file in the same directory, which ``os.replace``
+    moves over ``path`` after the block succeeds and which is removed if the
+    block raises, so a crash mid-write leaves any previous ``path`` intact.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_cube(path, cube: HsiCube) -> None:
     data = np.ascontiguousarray(cube.data, dtype="<f4")
     if not np.all(np.isfinite(data)):
@@ -85,7 +106,7 @@ def write_cube(path, cube: HsiCube) -> None:
     }
     if cube.wavelengths_nm is not None:
         header["wavelengths_nm"] = cube.wavelengths_nm
-    with open(path, "wb") as fh:
+    with _atomic_open(path) as fh:
         fh.write(MAGIC_LINE)
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         fh.write(data.tobytes())

@@ -24,7 +24,7 @@ tensors; the forward pass asserts that every name is consumed exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -106,6 +106,10 @@ class DenoiserConfig:
         unknown = sorted(set(d) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown model config keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING and f.name not in d]
+        if missing:
+            raise ValueError(f"missing model config keys: {', '.join(missing)}")
         return cls(**d)
 
 

@@ -6,12 +6,16 @@ batch items simply coexist on the tape.
 
 Every primitive here is exercised by a central finite-difference gradient
 check in the test suite (float64 mode).
+
+``conv2d`` builds no im2col matrix. It writes the padded input once into
+stride² phase images; each kernel tap then reads one contiguous flat slice of
+one phase image, so the forward pass and both adjoints are k² GEMMs against
+views of that single buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, as_tensor, from_op, matmul, reshape, scale, transpose
 
@@ -33,6 +37,16 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
 
     Output spatial size is (H + 2*padding - k) // stride + 1. The kernel side
     must be odd. No bias; see ``add_channel_bias``.
+
+    With s = stride, the padded input is split into s² phase images
+    ``xp[:, a::s, b::s]`` of size (ceil(Hp/s) + 1, wq) with wq = ceil(Wp/s);
+    the extra zero row keeps every slice in bounds. Tap (i, j) reads phase
+    (i % s, j % s) as the flat slice of h_out * wq values starting at
+    (i // s) * wq + j // s, so the output is the sum of k² GEMMs
+    (C_out, C_in) @ (C_in, h_out * wq), cropped to w_out of every wq columns.
+    The kernel gradient multiplies the zero-widened output gradient by the
+    same slices; the input gradient scatter-adds K_ijᵀ @ g into them and
+    interleaves the phases back.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     _require_chw(x, "conv2d")
@@ -49,31 +63,45 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     if h + 2 * padding < k or w + 2 * padding < k:
         raise ValueError(f"conv2d: input {h}x{w} too small for k={k}, padding={padding}")
 
-    h_out = (h + 2 * padding - k) // stride + 1
-    w_out = (w + 2 * padding - k) // stride + 1
+    s, c_out = stride, kernel.shape[0]
+    h_out = (h + 2 * padding - k) // s + 1
+    w_out = (w + 2 * padding - k) // s + 1
+    hq = -(-(h + 2 * padding) // s) + 1
+    wq = -(-(w + 2 * padding) // s)
+    xp = np.zeros((c_in, hq * s, wq * s), dtype=x.dtype)  # zero pad and tail
+    xp[:, padding:padding + h, padding:padding + w] = x.data
+    phases = np.ascontiguousarray(
+        xp.reshape(c_in, hq, s, wq, s).transpose(2, 4, 0, 1, 3)
+    ).reshape(s, s, c_in, hq * wq)
+    n = h_out * wq
+    taps = [(i, j, i % s, j % s, (i // s) * wq + j // s)
+            for i in range(k) for j in range(k)]
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    # (C_in, H_out, W_out, k, k) window view; tensordot lowers to one GEMM
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    out = np.tensordot(kernel.data, win, axes=([1, 2, 3], [0, 3, 4]))
+    # tap (0, 0) is phase (0, 0) at offset 0; the other products reuse tmp
+    out = kernel.data[:, :, 0, 0] @ phases[0, 0, :, :n]
+    tmp = np.empty_like(out)
+    for i, j, a, b, off in taps[1:]:
+        out += np.matmul(kernel.data[:, :, i, j], phases[a, b, :, off:off + n], out=tmp)
 
     def bwd(g):
+        gf = np.zeros((c_out, h_out, wq), dtype=g.dtype)
+        gf[:, :, :w_out] = g
+        gf = gf.reshape(c_out, n)  # wrapped columns carry zero adjoint
         if kernel.requires_grad:
-            kernel.accumulate_grad(np.tensordot(g, win, axes=([1, 2], [1, 2])))
+            gk = np.empty_like(kernel.data)
+            for i, j, a, b, off in taps:
+                gk[:, :, i, j] = gf @ phases[a, b, :, off:off + n].T
+            kernel.accumulate_grad(gk)
         if x.requires_grad:
-            # adjoint of the window gather: scatter-add each tap's columns back
-            # onto the padded input; rows the strided forward never read stay 0
-            cols = np.tensordot(kernel.data, g, axes=([0], [0]))  # (C_in, k, k, H_out, W_out)
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, i:i + stride * (h_out - 1) + 1:stride,
-                        j:j + stride * (w_out - 1) + 1:stride] += cols[:, i, j]
+            gph = np.zeros_like(phases)
+            tmp = np.empty((c_in, n), dtype=gph.dtype)
+            for i, j, a, b, off in taps:
+                gph[a, b, :, off:off + n] += np.matmul(kernel.data[:, :, i, j].T, gf, out=tmp)
+            gxp = gph.reshape(s, s, c_in, hq, wq).transpose(2, 3, 0, 4, 1)
+            gxp = gxp.reshape(c_in, hq * s, wq * s)
             x.accumulate_grad(gxp[:, padding:padding + h, padding:padding + w])
 
+    out = out.reshape(c_out, h_out, wq)[:, :, :w_out]
     return from_op(np.ascontiguousarray(out), (x, kernel), bwd)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import as_tensor
+from .autodiff import Tensor, as_tensor
 from .datacube import HsiCube, as_cube_array
 from .denoiser import DenoiserConfig, predict_noise
 from .diffusion import eps_from_x0
@@ -126,6 +126,11 @@ def fuse(
     that predicts x0 (``cfg.prediction == "x0"``) has its output turned into
     the implied noise before each DDIM step. Output values are clamped to
     [0, 1].
+
+    The network runs on constant views of ``params``, so inference records
+    no tape and the caller's tensors are left as they are. Non-finite values
+    in ``y`` or ``z``, or a non-finite network output at some step, raise
+    ``ValueError``.
     """
     if tau.steps[-1] != sched.T:
         raise ValueError(f"tau ends at {tau.steps[-1]} but the schedule has T={sched.T}")
@@ -135,6 +140,9 @@ def fuse(
         )
     y_arr = as_cube_array(y)
     z_arr = as_cube_array(z)
+    for label, arr in (("y", y_arr), ("z", z_arr)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{label} contains non-finite values")
     if y_arr.shape[0] != cfg.bands:
         raise ValueError(f"y has {y_arr.shape[0]} bands, checkpoint expects {cfg.bands}")
     if z_arr.shape[0] != cfg.msi_bands:
@@ -146,6 +154,8 @@ def fuse(
             f" {(y_arr.shape[1], y_arr.shape[2])}"
         )
 
+    # zero-copy constants: no network evaluation below records a tape
+    params = {n: Tensor(p.data, dtype=p.data.dtype.type) for n, p in params.items()}
     rng = np.random.default_rng(rng_seed)
     dtype = np.float32
     x_init = rng.normal(size=(cfg.bands, H, W)).astype(dtype)
@@ -177,6 +187,8 @@ def _fuse_field(params, cfg, sched, z_arr, y_up, x_init, tau, sigma_mode, step_n
         t_prev = steps[i + 1] if i + 1 < len(steps) else 0
         cond = concat_channels([as_tensor(x), as_tensor(z_arr), as_tensor(y_up)])
         eps_hat = predict_noise(params, cfg, cond, t).data
+        if not np.isfinite(eps_hat).all():
+            raise ValueError(f"network output is non-finite at DDIM step t={t}")
         if cfg.prediction == "x0":
             eps_hat = eps_from_x0(x, eps_hat, t, sched)
         sigma = ddim_sigma(sched, t, t_prev, sigma_mode)

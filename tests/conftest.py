@@ -15,3 +15,34 @@ def f64():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240915)
+
+
+class _FullDisk:
+    """File wrapper that stores ``budget`` bytes, then fails like a full disk."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, b):
+        if len(b) > self.budget:
+            self.fh.write(bytes(b)[:self.budget])
+            raise OSError(28, "No space left on device")
+        self.budget -= len(b)
+        return self.fh.write(b)
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Make the package's file writes fail after the first 64 bytes."""
+    import hsifusion.datacube
+
+    def open_full(path, mode="r", *args, **kwargs):
+        return _FullDisk(open(path, mode, *args, **kwargs), budget=64)
+
+    monkeypatch.setattr(hsifusion.datacube, "open", open_full, raising=False)

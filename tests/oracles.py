@@ -42,6 +42,23 @@ def assert_grads_match(loss_fn, tensors, rtol: float = 1e-4, h: float = FD_STEP)
         assert rel.max() < rtol, f"gradient mismatch: max rel err {rel.max():.3e}"
 
 
+def conv2d_loops(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """Cross-correlation by one explicit window sum per output value."""
+    c_in, h, w = x.shape
+    c_out, _, k, _ = kernel.shape
+    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
+    xp[:, padding:padding + h, padding:padding + w] = x
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (w + 2 * padding - k) // stride + 1
+    out = np.zeros((c_out, h_out, w_out))
+    for o in range(c_out):
+        for r in range(h_out):
+            for c in range(w_out):
+                window = xp[:, r * stride:r * stride + k, c * stride:c * stride + k]
+                out[o, r, c] = float(np.sum(kernel[o] * window))
+    return out
+
+
 def gaussian_kl_equal_var(mu0: float, mu1: float, var: float) -> float:
     """KL(N(mu0, var) || N(mu1, var)) for scalars."""
     return (mu0 - mu1) ** 2 / (2.0 * var)

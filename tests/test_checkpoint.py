@@ -44,6 +44,16 @@ class TestRoundTrip:
             assert np.array_equal(ckpt.params[name].data, params[name].data)
             assert ckpt.params[name].data.dtype == params[name].data.dtype
 
+    def test_failed_save_keeps_old_checkpoint(self, setup, full_disk):
+        # a crash mid-write must not destroy the checkpoint being replaced
+        cfg, params, opt, path = setup
+        with open(path, "wb") as fh:
+            fh.write(b"previous checkpoint bytes")
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, cfg, params, opt.to_dict(), step=3)
+        assert path.read_bytes() == b"previous checkpoint bytes"
+        assert [f.name for f in path.parent.iterdir()] == [path.name]
+
     def test_optimizer_moments_bit_exact(self, setup):
         cfg, params, opt, path = setup
         save_checkpoint(path, cfg, params, opt.to_dict(), step=17)

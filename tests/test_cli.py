@@ -202,6 +202,16 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
+    def test_missing_model_config_key_named(self, dataset_on_disk, capsys):
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, entries[:1], [])
+        doc = json.loads(cfg_path.read_text())
+        del doc["model"]["bands"]
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bands" in err
+
 
 class TestAblateCommand:
     def test_grid_table_shape(self, dataset_on_disk):

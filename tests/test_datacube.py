@@ -19,6 +19,15 @@ class TestHsiCube:
 
 
 class TestRoundTrip:
+    def test_failed_write_keeps_old_file(self, rng, tmp_path, full_disk):
+        p = tmp_path / "cube.hsic"
+        with open(p, "wb") as fh:
+            fh.write(b"previous cube bytes")
+        with pytest.raises(OSError, match="No space"):
+            write_cube(p, HsiCube(rng.random((3, 8, 8)).astype(np.float32)))
+        assert p.read_bytes() == b"previous cube bytes"
+        assert [f.name for f in tmp_path.iterdir()] == ["cube.hsic"]
+
     def test_bit_exact(self, rng, tmp_path):
         cube = HsiCube(
             rng.normal(size=(5, 7, 6)).astype(np.float32),

@@ -7,7 +7,7 @@ import hsifusion.autodiff as ad
 from hsifusion.autodiff import Tensor, backward, mean_all, mul, sum_all
 from hsifusion import ops
 
-from oracles import assert_grads_match
+from oracles import assert_grads_match, conv2d_loops
 
 
 def _sq_loss(out):
@@ -46,6 +46,16 @@ class TestConv2d:
             ops.conv2d(Tensor(rng.normal(size=(1, 5, 5))),
                        Tensor(rng.normal(size=(1, 1, 2, 2))))
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("side", [1, 3, 5])
+    def test_matches_loop_oracle(self, f64, rng, stride, padding, side):
+        x = rng.normal(size=(2, 7, 9))
+        k = rng.normal(size=(3, 2, side, side))
+        out = ops.conv2d(Tensor(x), Tensor(k), stride, padding).data
+        np.testing.assert_allclose(out, conv2d_loops(x, k, stride, padding),
+                                   rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("stride,padding,side,size", [
         pytest.param(1, 0, 3, 4, id="1-0"),
         pytest.param(1, 1, 3, 4, id="1-1"),
@@ -54,6 +64,10 @@ class TestConv2d:
         pytest.param(1, 0, 1, 4, id="k1"),  # the model's skip convs
         pytest.param(1, 2, 5, 4, id="k5-pad2"),
         pytest.param(3, 0, 3, 8, id="3-0-tail"),  # last 2 rows never reached
+        # odd sides under stride 2 and 3: the phase images differ in size
+        pytest.param(2, 1, 3, 7, id="2-1-odd"),
+        pytest.param(2, 0, 5, 7, id="2-0-k5-odd"),
+        pytest.param(3, 2, 5, 7, id="3-2-k5-odd"),
     ])
     def test_gradients(self, f64, rng, stride, padding, side, size):
         x = Tensor(rng.normal(size=(2, size, size)), requires_grad=True)

@@ -196,6 +196,40 @@ class TestFuse:
         with pytest.raises(ValueError, match=f"tile={tile}, tile_stride={stride}"):
             fuse(params, cfg, sched, y, z, select_tau(40, 1), tile=tile, tile_stride=stride)
 
+    @pytest.mark.parametrize("tile", [None, 8])
+    def test_inference_records_no_tape(self, fusion_setup, monkeypatch, tile):
+        import hsifusion.autodiff
+        import hsifusion.ops
+
+        cfg, params, sched, y, z = fusion_setup
+        before = {n: p.data for n, p in params.items()}
+        outputs = []
+        for module in (hsifusion.autodiff, hsifusion.ops):
+            def recording(data, parents, backward_fn, _from_op=module.from_op):
+                out = _from_op(data, parents, backward_fn)
+                outputs.append(out)
+                return out
+            monkeypatch.setattr(module, "from_op", recording)
+        fuse(params, cfg, sched, y, z, select_tau(40, 2), sigma_mode="posterior",
+             tile=tile, tile_stride=4)
+        assert outputs and not any(out.requires_grad for out in outputs)
+        for n, p in params.items():
+            assert p.requires_grad and p.grad is None and p.data is before[n]
+
+    @pytest.mark.parametrize("name", ["y", "z"])
+    def test_non_finite_input_rejected(self, fusion_setup, name):
+        cfg, params, sched, y, z = fusion_setup
+        cubes = {"y": y.data.copy(), "z": z.data.copy()}
+        cubes[name][0, 1, 2] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite"):
+            fuse(params, cfg, sched, cubes["y"], cubes["z"], select_tau(40, 1))
+
+    def test_non_finite_network_output_names_step(self, fusion_setup):
+        cfg, params, sched, y, z = fusion_setup
+        params = {**params, "head.conv.b": Tensor(np.full(4, np.nan, np.float32))}
+        with pytest.raises(ValueError, match="t=40"):
+            fuse(params, cfg, sched, y, z, select_tau(40, 3))
+
     def test_wall_time_decreases_with_fewer_steps(self, fusion_setup):
         import time
 
