@@ -19,7 +19,11 @@ the default because checkpoints written before the field existed, and the
 benchmark's stored references, are eps-predicting.
 
 Parameters live in a flat name -> Tensor map so checkpoints are plain named
-tensors; the forward pass asserts that every name is consumed exactly once.
+tensors. The forward pass is the only description of the network: each layer
+takes its weights by name with the shape the config implies, and
+``init_params`` runs that pass once to create them. A weight map that lacks a
+name, holds one the config never uses, or has a tensor of the wrong shape is
+rejected with a ``ValueError`` naming the parameter.
 """
 
 from __future__ import annotations
@@ -158,108 +162,39 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
     return rng.uniform(-bound, bound, size=shape)
 
 
-class _ParamBuilder:
-    def __init__(self, rng: np.random.Generator, dtype):
+class _ParamView:
+    """The weight map as the forward pass takes it, one parameter at a time.
+
+    Every name must be present, have the shape the config implies, and be
+    taken exactly once; ``finish`` rejects names the forward pass never took.
+    A view built with an ``rng`` starts empty and creates each parameter when
+    it is first taken, so one forward pass initializes the whole map.
+    """
+
+    def __init__(self, params: dict[str, Tensor], rng: np.random.Generator | None = None,
+                 dtype=None):
+        self.params = params
         self.rng = rng
         self.dtype = dtype
-        self.params: dict[str, Tensor] = {}
-
-    def _put(self, name: str, arr: np.ndarray) -> None:
-        self.params[name] = Tensor(arr, requires_grad=True, dtype=self.dtype)
-
-    def conv(self, name: str, c_in: int, c_out: int, k: int, zero: bool = False) -> None:
-        if zero:
-            w = np.zeros((c_out, c_in, k, k))
-        else:
-            w = _kaiming_uniform(self.rng, (c_out, c_in, k, k), c_in * k * k)
-        self._put(name + ".w", w)
-        self._put(name + ".b", np.zeros(c_out))
-
-    def linear(self, name: str, n_in: int, n_out: int) -> None:
-        self._put(name + ".w", _kaiming_uniform(self.rng, (n_out, n_in), n_in))
-        self._put(name + ".b", np.zeros(n_out))
-
-    def norm(self, name: str, c: int) -> None:
-        self._put(name + ".g", np.ones(c))
-        self._put(name + ".b", np.zeros(c))
-
-    def res_block(self, name: str, c_in: int, c_out: int, temb_dim: int) -> None:
-        self.norm(name + ".norm1", c_in)
-        self.conv(name + ".conv1", c_in, c_out, 3)
-        self.linear(name + ".tproj", temb_dim, c_out)
-        self.norm(name + ".norm2", c_out)
-        self.conv(name + ".conv2", c_out, c_out, 3)
-        if c_in != c_out:
-            self._put(name + ".skip.w", _kaiming_uniform(self.rng, (c_out, c_in, 1, 1), c_in))
-
-    def attention(self, name: str, c: int) -> None:
-        for proj in ("wq", "wk", "wv"):
-            self._put(f"{name}.{proj}", _kaiming_uniform(self.rng, (c, c), c))
-        # zero output projection: attention starts as an identity branch
-        self._put(name + ".wo", np.zeros((c, c)))
-
-
-def init_params(cfg: DenoiserConfig, rng: np.random.Generator, dtype=None) -> dict[str, Tensor]:
-    """Freshly initialized parameter map for ``cfg``.
-
-    Convolutions are Kaiming-uniform except the output head, which starts at
-    zero so the initial prediction is exactly zero.
-    """
-    b = _ParamBuilder(rng, dtype or default_dtype())
-    chans = cfg.level_channels
-    td = cfg.time_embed_dim
-
-    b.linear("temb.fc1", td, td)
-    b.linear("temb.fc2", td, td)
-    b.conv("stem", cfg.in_channels, chans[0], 3)
-
-    for i, c in enumerate(chans):
-        c_prev = chans[i - 1] if i > 0 else chans[0]
-        b.res_block(f"down{i}.res", c_prev, c, td)
-        if i in cfg.attention_levels:
-            b.attention(f"down{i}.attn", c)
-        if i < cfg.levels - 1:
-            b.conv(f"down{i}.pool", c, c, 3)
-
-    c_mid = chans[-1]
-    b.res_block("mid.res1", c_mid, c_mid, td)
-    b.attention("mid.attn", c_mid)
-    b.res_block("mid.res2", c_mid, c_mid, td)
-
-    for i in reversed(range(cfg.levels)):
-        c = chans[i]
-        b.res_block(f"up{i}.res", 2 * c, c, td)
-        if i in cfg.attention_levels:
-            b.attention(f"up{i}.attn", c)
-        if i > 0:
-            b.conv(f"up{i}.up", c, chans[i - 1], 3)
-
-    b.norm("head.norm", chans[0])
-    b.conv("head.conv", chans[0], cfg.bands, 3, zero=True)
-    return b.params
-
-
-def param_count(params: dict[str, Tensor]) -> int:
-    return sum(int(p.size) for p in params.values())
-
-
-# ---------------------------------------------------------------------------
-# Forward pass
-# ---------------------------------------------------------------------------
-
-
-class _ParamView:
-    """Marks parameters as consumed so config/weight mismatches surface."""
-
-    def __init__(self, params: dict[str, Tensor]):
-        self.params = params
         self.used: set[str] = set()
 
-    def take(self, name: str) -> Tensor:
+    def take(self, name: str, shape: tuple[int, ...], fan_in: int | None = None,
+             fill: float = 0.0) -> Tensor:
+        """Parameter ``name`` of ``shape``; created Kaiming-uniform over
+        ``fan_in`` (or filled with ``fill``) when the view has an ``rng``."""
+        if self.rng is not None and name not in self.params:
+            init = (np.full(shape, fill) if fan_in is None
+                    else _kaiming_uniform(self.rng, shape, fan_in))
+            self.params[name] = Tensor(init, requires_grad=True, dtype=self.dtype)
         if name not in self.params:
             raise ValueError(f"denoiser weights are missing parameter '{name}'")
         if name in self.used:
             raise ValueError(f"parameter '{name}' consumed twice in one forward pass")
+        if self.params[name].shape != shape:
+            raise ValueError(
+                f"parameter '{name}' has shape {self.params[name].shape}, "
+                f"config expects {shape}"
+            )
         self.used.add(name)
         return self.params[name]
 
@@ -271,27 +206,99 @@ class _ParamView:
             )
 
 
-def _conv_bias(p: _ParamView, name: str, x, stride=1, padding=1) -> Tensor:
-    h = conv2d(x, p.take(name + ".w"), stride=stride, padding=padding)
-    return add_channel_bias(h, p.take(name + ".b"))
+def init_params(cfg: DenoiserConfig, rng: np.random.Generator, dtype=None) -> dict[str, Tensor]:
+    """Freshly initialized parameter map for ``cfg``.
+
+    The forward pass creates the parameters as it takes them, run once on a
+    zero input of the smallest size the config accepts. Convolutions are
+    Kaiming-uniform except the output head, which starts at zero so the
+    initial prediction is exactly zero.
+    """
+    dtype = dtype or default_dtype()
+    p = _ParamView({}, rng, dtype)
+    side = 2 ** (cfg.levels - 1)
+    _forward(p, cfg, Tensor(np.zeros((cfg.in_channels, side, side)), dtype=dtype), 0)
+    return p.params
 
 
-def _res_block(p: _ParamView, name: str, x: Tensor, temb: Tensor, groups: int) -> Tensor:
-    h = group_norm(x, groups, p.take(name + ".norm1.g"), p.take(name + ".norm1.b"))
-    h = _conv_bias(p, name + ".conv1", silu(h))
-    t_bias = dense(silu(temb), p.take(name + ".tproj.w"), p.take(name + ".tproj.b"))
-    h = add_channel_bias(h, t_bias)
-    h = group_norm(h, groups, p.take(name + ".norm2.g"), p.take(name + ".norm2.b"))
-    h = _conv_bias(p, name + ".conv2", silu(h))
-    if name + ".skip.w" in p.params:
-        x = conv2d(x, p.take(name + ".skip.w"))
+def param_count(params: dict[str, Tensor]) -> int:
+    return sum(int(p.size) for p in params.values())
+
+
+# ---------------------------------------------------------------------------
+# Forward pass
+# ---------------------------------------------------------------------------
+
+
+def _conv_bias(p: _ParamView, name: str, x: Tensor, c_out: int, stride: int = 1,
+               zero: bool = False) -> Tensor:
+    c_in = x.shape[0]
+    w = p.take(name + ".w", (c_out, c_in, 3, 3), fan_in=None if zero else 9 * c_in)
+    h = conv2d(x, w, stride=stride, padding=1)
+    return add_channel_bias(h, p.take(name + ".b", (c_out,)))
+
+
+def _dense(p: _ParamView, name: str, x: Tensor, n_out: int) -> Tensor:
+    n_in = x.shape[0]
+    return dense(x, p.take(name + ".w", (n_out, n_in), fan_in=n_in),
+                 p.take(name + ".b", (n_out,)))
+
+
+def _norm(p: _ParamView, name: str, x: Tensor, groups: int) -> Tensor:
+    c = x.shape[0]
+    return group_norm(x, groups, p.take(name + ".g", (c,), fill=1.0), p.take(name + ".b", (c,)))
+
+
+def _res_block(p: _ParamView, name: str, x: Tensor, temb: Tensor, groups: int,
+               c_out: int) -> Tensor:
+    h = _conv_bias(p, name + ".conv1", silu(_norm(p, name + ".norm1", x, groups)), c_out)
+    h = add_channel_bias(h, _dense(p, name + ".tproj", silu(temb), c_out))
+    h = _conv_bias(p, name + ".conv2", silu(_norm(p, name + ".norm2", h, groups)), c_out)
+    c_in = x.shape[0]
+    if c_in != c_out:
+        x = conv2d(x, p.take(name + ".skip.w", (c_out, c_in, 1, 1), fan_in=c_in))
     return h + x
 
 
 def _attention(p: _ParamView, name: str, x: Tensor) -> Tensor:
-    return self_attention(
-        x, p.take(name + ".wq"), p.take(name + ".wk"), p.take(name + ".wv"), p.take(name + ".wo")
-    )
+    c = x.shape[0]
+    wq, wk, wv = (p.take(f"{name}.{proj}", (c, c), fan_in=c) for proj in ("wq", "wk", "wv"))
+    # zero output projection: attention starts as an identity branch
+    return self_attention(x, wq, wk, wv, p.take(name + ".wo", (c, c)))
+
+
+def _forward(p: _ParamView, cfg: DenoiserConfig, x_in: Tensor, t: int) -> Tensor:
+    chans = cfg.level_channels
+    emb = as_tensor(time_embedding(t, cfg.time_embed_dim), dtype=x_in.dtype)
+    temb = _dense(p, "temb.fc1", emb, cfg.time_embed_dim)
+    temb = _dense(p, "temb.fc2", silu(temb), cfg.time_embed_dim)
+
+    h = _conv_bias(p, "stem", x_in, chans[0])
+    skips = []
+    for i, c in enumerate(chans):
+        h = _res_block(p, f"down{i}.res", h, temb, cfg.groups, c)
+        if i in cfg.attention_levels:
+            h = _attention(p, f"down{i}.attn", h)
+        skips.append(h)
+        if i < cfg.levels - 1:
+            h = _conv_bias(p, f"down{i}.pool", h, c, stride=2)
+
+    h = _res_block(p, "mid.res1", h, temb, cfg.groups, chans[-1])
+    h = _attention(p, "mid.attn", h)
+    h = _res_block(p, "mid.res2", h, temb, cfg.groups, chans[-1])
+
+    for i in reversed(range(cfg.levels)):
+        h = _res_block(p, f"up{i}.res", concat_channels([h, skips.pop()]), temb, cfg.groups,
+                       chans[i])
+        if i in cfg.attention_levels:
+            h = _attention(p, f"up{i}.attn", h)
+        if i > 0:
+            h = _conv_bias(p, f"up{i}.up", upsample_nearest(h, 2), chans[i - 1])
+
+    out = _conv_bias(p, "head.conv", silu(_norm(p, "head.norm", h, cfg.groups)), cfg.bands,
+                     zero=True)
+    p.finish()
+    return out
 
 
 def predict_noise(params: dict[str, Tensor], cfg: DenoiserConfig, x_in, t: int) -> Tensor:
@@ -310,39 +317,4 @@ def predict_noise(params: dict[str, Tensor], cfg: DenoiserConfig, x_in, t: int) 
         raise ValueError(
             f"spatial size {x_in.shape[1:]} not divisible by 2^(levels-1) = {down}"
         )
-
-    p = _ParamView(params)
-    emb = as_tensor(time_embedding(t, cfg.time_embed_dim), dtype=x_in.dtype)
-    temb = dense(emb, p.take("temb.fc1.w"), p.take("temb.fc1.b"))
-    temb = dense(silu(temb), p.take("temb.fc2.w"), p.take("temb.fc2.b"))
-
-    h = _conv_bias(p, "stem", x_in)
-    skips = []
-    for i in range(cfg.levels):
-        h = _res_block(p, f"down{i}.res", h, temb, cfg.groups)
-        if i in cfg.attention_levels:
-            h = _attention(p, f"down{i}.attn", h)
-        skips.append(h)
-        if i < cfg.levels - 1:
-            h = _conv_bias(p, f"down{i}.pool", h, stride=2)
-
-    h = _res_block(p, "mid.res1", h, temb, cfg.groups)
-    h = _attention(p, "mid.attn", h)
-    h = _res_block(p, "mid.res2", h, temb, cfg.groups)
-
-    for i in reversed(range(cfg.levels)):
-        skip = skips.pop()
-        if skip.shape[1:] != h.shape[1:]:
-            raise AssertionError(
-                f"skip connection size {skip.shape[1:]} != feature size {h.shape[1:]}"
-            )
-        h = _res_block(p, f"up{i}.res", concat_channels([h, skip]), temb, cfg.groups)
-        if i in cfg.attention_levels:
-            h = _attention(p, f"up{i}.attn", h)
-        if i > 0:
-            h = _conv_bias(p, f"up{i}.up", upsample_nearest(h, 2))
-
-    h = group_norm(h, cfg.groups, p.take("head.norm.g"), p.take("head.norm.b"))
-    out = _conv_bias(p, "head.conv", silu(h))
-    p.finish()
-    return out
+    return _forward(_ParamView(params), cfg, x_in, t)

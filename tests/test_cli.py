@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hsifusion.checkpoint import save_checkpoint
+from hsifusion.autodiff import Tensor
+from hsifusion.checkpoint import load_checkpoint, save_checkpoint
 from hsifusion.cli import load_run_config, main
 from hsifusion.datacube import HsiCube, read_cube, write_cube
 from hsifusion.degrade import ObservationModel, spatial_degrade, uniform_band_groups
@@ -130,6 +131,24 @@ class TestFuse:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "tile=16, tile_stride=48" in err
+        assert not (tmp / "x.hsic").exists()
+
+    def test_mis_shaped_checkpoint_named(self, workspace, rng, capsys):
+        # the parameter is named, and no output is written
+        tmp, gt, srf, cube = workspace
+        main(["simulate", "--in", str(gt), "--block", str(SCALE), "--srf", str(srf),
+              "--out-lr", str(tmp / "lr.hsic"), "--out-msi", str(tmp / "msi.hsic")])
+        ckpt_path, cfg = make_checkpoint(tmp, rng)
+        ckpt = load_checkpoint(ckpt_path)
+        ckpt.params["down0.pool.w"] = Tensor(np.zeros((8, 8, 1, 1), dtype=np.float32))
+        save_checkpoint(ckpt_path, cfg, ckpt.params, schedule=ckpt.schedule)
+        capsys.readouterr()
+        rc = main(["fuse", "--checkpoint", str(ckpt_path), "--lr", str(tmp / "lr.hsic"),
+                   "--msi", str(tmp / "msi.hsic"), "--steps", "2",
+                   "--out", str(tmp / "x.hsic")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'down0.pool.w'" in err
         assert not (tmp / "x.hsic").exists()
 
 
