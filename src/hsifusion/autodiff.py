@@ -9,6 +9,11 @@ Two float widths are supported. Training and inference default to float32;
 verification (finite-difference gradient checking) switches the default to
 float64 via ``set_default_dtype``, because central differences are unreliable
 in single precision.
+
+The width is a property of the tensors, never of a scalar: a scalar constant
+(``scale``, the scalar form of ``add`` and ``mul``) takes the dtype of the
+tensor it meets. A NumPy float64 scalar, such as ``1 / np.sqrt(c)``, would
+otherwise promote a float32 tensor to float64 under NumPy 2's rules (NEP 50).
 """
 
 from __future__ import annotations
@@ -180,7 +185,7 @@ def add(a, b) -> Tensor:
         def bwd(g):
             if a.requires_grad:
                 a.accumulate_grad(g)
-        return from_op(a.data + b, (a,), bwd)
+        return from_op(a.data + a.data.dtype.type(b), (a,), bwd)
     b = as_tensor(b)
     _check_same_shape(a, b, "add")
 
@@ -209,7 +214,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a = as_tensor(a)
     if np.isscalar(b):
-        return scale(a, float(b))
+        return scale(a, b)
     b = as_tensor(b)
     _check_same_shape(a, b, "mul")
 
@@ -224,6 +229,7 @@ def mul(a, b) -> Tensor:
 
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
+    c = a.data.dtype.type(c)
 
     def bwd(g):
         if a.requires_grad:

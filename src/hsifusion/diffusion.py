@@ -7,6 +7,8 @@ training.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor, absolute, as_tensor, mean_all, mul, sub
@@ -48,7 +50,7 @@ def posterior_mean_from_eps(
     _check_shapes(xt, eps, "posterior_mean_from_eps")
     beta = sched.beta(t)
     _, c_noise = marginal_coeffs(sched, t)
-    return (xt - beta / c_noise * eps) / np.sqrt(1.0 - beta)
+    return (xt - beta / c_noise * eps) / math.sqrt(1.0 - beta)
 
 
 def eps_from_x0(

@@ -8,6 +8,7 @@ deterministic given the initial noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,9 @@ def ddim_step(
     """
     if not 0 <= t_prev < t <= sched.T:
         raise ValueError(f"need 0 <= t_prev < t <= T, got t={t}, t_prev={t_prev}")
-    ab_t = sched.alpha_bars[t]
-    ab_prev = sched.alpha_bars[t_prev]
+    # Python floats and math.sqrt, so the arithmetic stays in the arrays' dtype
+    ab_t = sched.alpha_bar(t)
+    ab_prev = sched.alpha_bar(t_prev)
     if sigma < 0 or sigma**2 > 1.0 - ab_prev + 1e-12:
         raise ValueError(
             f"sigma^2 = {sigma**2:g} exceeds 1 - alpha_bar_prev = {1 - ab_prev:g}"
@@ -94,9 +96,9 @@ def ddim_step(
 
     xt = np.asarray(xt)
     eps_hat = np.asarray(eps_hat)
-    x0_hat = (xt - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
-    out = np.sqrt(ab_prev) * x0_hat
-    direction = np.sqrt(max(1.0 - ab_prev - sigma**2, 0.0))
+    x0_hat = (xt - math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(ab_t)
+    out = math.sqrt(ab_prev) * x0_hat
+    direction = math.sqrt(max(1.0 - ab_prev - sigma**2, 0.0))
     if direction > 0:
         out = out + direction * eps_hat
     if sigma > 0 and t_prev > 0:

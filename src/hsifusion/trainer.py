@@ -105,7 +105,7 @@ def cosine_lr(step: int, lr_max: float, cycle: int) -> float:
     if step < 0:
         raise ValueError("step must be >= 0")
     phase = (step % cycle) / cycle
-    return lr_max * (1.0 + np.cos(np.pi * phase)) / 2.0
+    return float(lr_max * (1.0 + np.cos(np.pi * phase)) / 2.0)
 
 
 def sample_patch(dataset, patch: int, scale: int, rng: np.random.Generator):

@@ -17,6 +17,21 @@ def rng():
     return np.random.default_rng(20240915)
 
 
+@pytest.fixture
+def op_outputs(monkeypatch):
+    """List that collects the output tensor of every primitive the test runs."""
+    import hsifusion.ops
+
+    outputs = []
+    for module in (ad, hsifusion.ops):
+        def recording(data, parents, backward_fn, _from_op=module.from_op):
+            out = _from_op(data, parents, backward_fn)
+            outputs.append(out)
+            return out
+        monkeypatch.setattr(module, "from_op", recording)
+    return outputs
+
+
 class _FullDisk:
     """File wrapper that stores ``budget`` bytes, then fails like a full disk."""
 

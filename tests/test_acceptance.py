@@ -298,14 +298,14 @@ def test_criterion_5_toy_end_to_end(trained_toy):
     the network's output read at a true x_t on the four test cubes:
 
       t                     1     20    40    80    120   160   200
-      eps model: eps rms    0.87  0.18  0.13  0.10  0.11  0.11  0.12
-      eps model: x0 dB      37.4  28.0  24.6  20.1  15.3  10.5   7.4
-      x0 model:  x0 dB      21.7  21.8  21.6  21.7  21.6  21.6  21.7
-      x0 model:  eps rms    6.15  0.41  0.20  0.09  0.04  0.02  0.008
+      eps model: eps rms    0.85  0.17  0.12  0.10  0.11  0.11  0.12
+      eps model: x0 dB      37.6  28.5  25.2  20.0  15.3  10.8   7.5
+      x0 model:  x0 dB      22.3  22.4  22.2  22.3  22.3  22.3  22.2
+      x0 model:  eps rms    5.34  0.36  0.18  0.08  0.04  0.02  0.007
 
-    Fusion (baseline 17.75 dB) at d = 1 / 5 / 20 / 50 steps gives 5.40 /
-    4.45 / 4.37 / 4.35 dB with the eps model and 21.64 / 21.68 / 21.70 /
-    21.73 dB with the x0 model. The eps shortfall is not specific to one
+    Fusion (baseline 17.75 dB) at d = 1 / 5 / 20 / 50 steps gives 5.25 /
+    4.34 / 4.27 / 4.26 dB with the eps model and 22.14 / 22.20 / 22.23 /
+    22.30 dB with the x0 model. The eps shortfall is not specific to one
     step: more steps do no better, because every step carries the poor
     large-t estimate down.
     """

@@ -94,6 +94,11 @@ class TestPredictNoise:
         x = rng.normal(size=(cfg.in_channels, 8, 8)).astype(np.float32)
         assert predict_noise(params, cfg, x, 3).shape == (2, 8, 8)
 
+    def test_float32_input_gives_float32_output(self, rng):
+        cfg = tiny_config()
+        x = rng.normal(size=(cfg.in_channels, 8, 8)).astype(np.float32)
+        assert predict_noise(init_params(cfg, rng), cfg, x, 3).dtype == np.float32
+
     def test_zero_head_means_zero_output(self, rng):
         cfg = tiny_config()
         params = init_params(cfg, rng)  # head conv zero-initialized

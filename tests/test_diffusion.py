@@ -3,6 +3,7 @@ import pytest
 
 from hsifusion.autodiff import Tensor, backward
 from hsifusion.diffusion import (
+    eps_from_x0,
     posterior_mean,
     posterior_mean_from_eps,
     q_sample,
@@ -102,6 +103,19 @@ class TestPosteriorMeanFromEps:
         np.testing.assert_allclose(
             posterior_mean_from_eps(xt, eps, 1, sched), x0, atol=1e-6
         )
+
+
+class TestFloatWidth:
+    def test_float32_arrays_stay_float32(self, sched, rng):
+        # the schedule is float64; no coefficient taken from it may promote
+        a, b = (rng.normal(size=(2, 3, 3)).astype(np.float32) for _ in range(2))
+        outputs = {
+            "q_sample": q_sample(a, 7, b, sched),
+            "posterior_mean": posterior_mean(a, b, 7, sched),
+            "posterior_mean_from_eps": posterior_mean_from_eps(a, b, 7, sched),
+            "eps_from_x0": eps_from_x0(a, b, 7, sched),
+        }
+        assert {k: str(out.dtype) for k, out in outputs.items() if out.dtype != np.float32} == {}
 
 
 class TestSimpleLoss:

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -311,3 +312,40 @@ class TestRandomizedShapes:
 
             assert_grads_match(lambda: _sq_loss(ops.silu(x)), [x])
             assert_grads_match(lambda: _sq_loss(ops.upsample_nearest(x, 2)), [x])
+
+
+class TestFloatWidth:
+    # the public functions of autodiff and ops that are not primitives
+    NOT_PRIMITIVES = {"set_default_dtype", "default_dtype", "as_tensor", "from_op", "backward"}
+
+    def test_every_primitive_keeps_float32(self, rng):
+        def t(*shape):
+            return Tensor(rng.normal(size=shape).astype(np.float32))
+
+        x, v, m = t(4, 6, 6), t(6), t(4, 4)
+        c = np.float64(0.3)  # not a weak scalar under NumPy 2
+        outputs = {
+            "add": ad.add(v, v), "add scalar": ad.add(v, c), "radd": 1.0 + v,
+            "sub": ad.sub(v, v), "mul": ad.mul(v, v), "mul scalar": ad.mul(v, c),
+            "scale": ad.scale(v, c), "neg": -v, "absolute": ad.absolute(v),
+            "sum_all": ad.sum_all(v), "mean_all": ad.mean_all(v),
+            "reshape": ad.reshape(x, (4, 36)), "transpose": ad.transpose(m, (1, 0)),
+            "matmul": ad.matmul(m, m),
+            "conv2d": ops.conv2d(x, t(3, 4, 3, 3), stride=2, padding=1),
+            "bicubic_weight_matrix": ops.bicubic_weight_matrix(6, 2, dtype=np.float32),
+            "bicubic_upsample": ops.bicubic_upsample(x, 2),
+            "upsample_nearest": ops.upsample_nearest(x, 2),
+            "downsample_stride": ops.downsample_stride(x, 2),
+            "group_norm": ops.group_norm(x, 2, t(4), t(4)),
+            "silu": ops.silu(x), "softmax": ops.softmax(m, axis=-1),
+            "dense": ops.dense(v, t(3, 6), t(3)),
+            "add_channel_bias": ops.add_channel_bias(x, t(4)),
+            "concat_channels": ops.concat_channels([x, x]),
+            "self_attention": ops.self_attention(x, m, m, m, m),
+        }
+        public = {name for module in (ad, ops) for name, fn in vars(module).items()
+                  if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                  and not name.startswith("_")}
+        assert not public - self.NOT_PRIMITIVES - {k.split()[0] for k in outputs}
+        promoted = {k: str(out.dtype) for k, out in outputs.items() if out.dtype != np.float32}
+        assert not promoted

@@ -121,6 +121,21 @@ class TestDdimStep:
         with pytest.raises(ValueError, match="noise"):
             ddim_step(x, x, 10, 9, 0.01, sched)
 
+    def test_float32_step_computes_in_float32(self, sched, rng):
+        # the schedule is float64, but its coefficients must not promote the
+        # arrays: the result is the update evaluated in float32, bit for bit
+        xt, eps_hat, noise = (rng.normal(size=(3, 16, 16)).astype(np.float32)
+                              for _ in range(3))
+        t, t_prev, sigma = 30, 12, 0.05
+        ab_t, ab_prev = sched.alpha_bars[t], sched.alpha_bars[t_prev]
+        c = lambda v: np.float32(np.sqrt(v))
+        x0_hat = (xt - c(1 - ab_t) * eps_hat) / c(ab_t)
+        expected = (c(ab_prev) * x0_hat + c(1 - ab_prev - sigma**2) * eps_hat
+                    + np.float32(sigma) * noise)
+        out = ddim_step(xt, eps_hat, t, t_prev, sigma, sched, noise=noise)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, expected)
+
 
 @pytest.fixture(scope="module")
 def fusion_setup():
@@ -197,24 +212,23 @@ class TestFuse:
             fuse(params, cfg, sched, y, z, select_tau(40, 1), tile=tile, tile_stride=stride)
 
     @pytest.mark.parametrize("tile", [None, 8])
-    def test_inference_records_no_tape(self, fusion_setup, monkeypatch, tile):
-        import hsifusion.autodiff
-        import hsifusion.ops
-
+    def test_inference_records_no_tape(self, fusion_setup, op_outputs, tile):
         cfg, params, sched, y, z = fusion_setup
         before = {n: p.data for n, p in params.items()}
-        outputs = []
-        for module in (hsifusion.autodiff, hsifusion.ops):
-            def recording(data, parents, backward_fn, _from_op=module.from_op):
-                out = _from_op(data, parents, backward_fn)
-                outputs.append(out)
-                return out
-            monkeypatch.setattr(module, "from_op", recording)
         fuse(params, cfg, sched, y, z, select_tau(40, 2), sigma_mode="posterior",
              tile=tile, tile_stride=4)
-        assert outputs and not any(out.requires_grad for out in outputs)
+        assert op_outputs and not any(out.requires_grad for out in op_outputs)
         for n, p in params.items():
             assert p.requires_grad and p.grad is None and p.data is before[n]
+
+    @pytest.mark.parametrize("tile", [None, 8])
+    def test_network_runs_in_float32(self, fusion_setup, op_outputs, tile):
+        # every layer output of every network evaluation keeps the float32 of
+        # the parameters and the observations
+        cfg, params, sched, y, z = fusion_setup
+        fuse(params, cfg, sched, y, z, select_tau(40, 2), sigma_mode="posterior",
+             tile=tile, tile_stride=4)
+        assert op_outputs and {o.dtype for o in op_outputs} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("name", ["y", "z"])
     def test_non_finite_input_rejected(self, fusion_setup, name):

@@ -9,7 +9,7 @@ from hsifusion.datacube import HsiCube
 from hsifusion.degrade import ObservationModel, spatial_degrade, uniform_band_groups
 from hsifusion.denoiser import DenoiserConfig, assemble_condition, init_params, predict_noise
 from hsifusion.diffusion import simple_loss
-from hsifusion.autodiff import backward
+from hsifusion.autodiff import Tensor, backward
 from hsifusion.schedule import linear_schedule
 from hsifusion.synthetic import make_toy_dataset, observed_triples
 from hsifusion.trainer import (
@@ -51,6 +51,12 @@ class TestCosineLr:
     def test_positive_and_bounded(self):
         vals = [cosine_lr(s, 1e-4, 1000) for s in range(1000)]
         assert all(0 < v <= 1e-4 for v in vals)
+
+    def test_python_float_does_not_promote(self):
+        # a NumPy float64 rate would make every Adam temporary float64
+        lr = cosine_lr(123, 1e-4, 1000)
+        assert type(lr) is float
+        assert (lr * np.ones(3, dtype=np.float32)).dtype == np.float32
 
 
 class TestAdam:
@@ -168,6 +174,23 @@ class TestTrainStep:
             magnitudes["x0"].append(np.mean(np.abs(x0)))
         assert loss == pytest.approx(np.mean(magnitudes[prediction]), rel=1e-5)
         assert np.mean(magnitudes["eps"]) != pytest.approx(np.mean(magnitudes["x0"]), rel=1e-3)
+
+    def test_tape_and_adjoints_stay_float32(self, rng, op_outputs, monkeypatch):
+        adjoints = []
+
+        def recording(tensor, g, _accumulate=Tensor.accumulate_grad):
+            adjoints.append(g.dtype)
+            _accumulate(tensor, g)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", recording)
+        cfg = tiny_model()
+        params = init_params(cfg, rng)
+        batch = [sample_patch(tiny_dataset(rng), 4, 2, rng) for _ in range(2)]
+        train_step(params, AdamState.for_params(params), batch, linear_schedule(50, 0.1),
+                   1, 1e-3, rng, cfg)
+        assert any(out.requires_grad for out in op_outputs)
+        assert {out.dtype for out in op_outputs} == {np.dtype(np.float32)}
+        assert adjoints and set(adjoints) == {np.dtype(np.float32)}
 
     def test_non_finite_loss_raises_with_step(self, rng):
         cfg = tiny_model()
