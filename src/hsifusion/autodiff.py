@@ -251,7 +251,7 @@ def absolute(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Reductions and reshaping
+# Reductions
 # ---------------------------------------------------------------------------
 
 
@@ -274,43 +274,3 @@ def mean_all(a) -> Tensor:
             a.accumulate_grad(np.full_like(a.data, g.reshape(()) / n))
 
     return from_op(np.asarray(a.data.mean(), dtype=a.dtype), (a,), bwd)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    old = a.shape
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(old))
-
-    return from_op(np.ascontiguousarray(a.data.reshape(shape)), (a,), bwd)
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.transpose(inv))
-
-    return from_op(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
-
-
-def matmul(a, b) -> Tensor:
-    """2-D matrix product."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
-
-    return from_op(a.data @ b.data, (a, b), bwd)

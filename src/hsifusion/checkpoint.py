@@ -17,6 +17,7 @@ fine for inference but refuses to resume training.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -100,20 +101,29 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        prefix = fh.read(20)
+        if prefix[:8] != MAGIC:
+            raise CheckpointFormatError(f"{path}: bad magic {prefix[:8]!r}")
+        if len(prefix) < 20:
+            raise CheckpointFormatError(f"{path}: file ends inside the 20-byte prefix")
+        version, head_len = struct.unpack("<IQ", prefix[8:])
         if version != FORMAT_VERSION:
             raise CheckpointFormatError(
                 f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
             )
-        (head_len,) = struct.unpack("<Q", fh.read(8))
+        # a corrupt length must not size the read
+        if head_len > os.fstat(fh.fileno()).st_size - 20:
+            raise CheckpointFormatError(f"{path}: file ends inside the {head_len}-byte header")
         try:
             header = json.loads(fh.read(head_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from None
         payload = fh.read()
+    if not isinstance(header, dict):
+        raise CheckpointFormatError(f"{path}: header is not a JSON object")
+    missing = [k for k in ("config", "step", "tensors", "optimizer") if k not in header]
+    if missing:
+        raise CheckpointFormatError(f"{path}: header has no {', '.join(map(repr, missing))}")
 
     config = DenoiserConfig.from_dict(header["config"])
     params: dict[str, Tensor] = {}

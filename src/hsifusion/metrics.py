@@ -34,7 +34,10 @@ def _to_8bit_pair(ref, est) -> tuple[np.ndarray, np.ndarray]:
 
 def psnr(ref, est) -> float:
     """10*log10(255^2 / MSE) over all voxels; identical cubes give +inf."""
-    r, e = _to_8bit_pair(ref, est)
+    return _psnr(*_to_8bit_pair(ref, est))
+
+
+def _psnr(r: np.ndarray, e: np.ndarray) -> float:
     mse = float(np.mean((r - e) ** 2))
     if mse == 0.0:
         return math.inf
@@ -51,7 +54,10 @@ def sam(ref, est) -> float:
 
 
 def sam_detailed(ref, est) -> tuple[float, float]:
-    r, e = _to_8bit_pair(ref, est)
+    return _sam(*_to_8bit_pair(ref, est))
+
+
+def _sam(r: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     bands = r.shape[0]
     rf = r.reshape(bands, -1)
     ef = e.reshape(bands, -1)
@@ -74,12 +80,18 @@ def ergas(ref, est, scale: int) -> float:
 
     Bands whose reference mean is zero are excluded with a warning.
     """
+    r, e = _to_8bit_pair(ref, est)
+    return _ergas(r, _band_mses(r, e), scale)
+
+
+def _band_mses(r: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return ((r - e) ** 2).reshape(r.shape[0], -1).mean(axis=1)
+
+
+def _ergas(r: np.ndarray, mses: np.ndarray, scale: int) -> float:
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
-    r, e = _to_8bit_pair(ref, est)
-    bands = r.shape[0]
-    means = r.reshape(bands, -1).mean(axis=1)
-    mses = ((r - e) ** 2).reshape(bands, -1).mean(axis=1)
+    means = r.reshape(r.shape[0], -1).mean(axis=1)
     ok = means != 0
     if not np.all(ok):
         warnings.warn(
@@ -101,7 +113,10 @@ def _window_means(img: np.ndarray, k: int) -> np.ndarray:
 
 def ssim(ref, est) -> float:
     """Mean local SSIM with a uniform 8x8 window, averaged over bands."""
-    r, e = _to_8bit_pair(ref, est)
+    return _ssim(*_to_8bit_pair(ref, est))
+
+
+def _ssim(r: np.ndarray, e: np.ndarray) -> float:
     k = SSIM_WINDOW
     if r.shape[1] < k or r.shape[2] < k:
         raise ValueError(f"image {r.shape[1:]} smaller than SSIM window {k}x{k}")
@@ -121,9 +136,7 @@ def ssim(ref, est) -> float:
 
 def band_rmse(ref, est) -> np.ndarray:
     """Per-band RMSE in 8-bit units."""
-    r, e = _to_8bit_pair(ref, est)
-    bands = r.shape[0]
-    return np.sqrt(((r - e) ** 2).reshape(bands, -1).mean(axis=1))
+    return np.sqrt(_band_mses(*_to_8bit_pair(ref, est)))
 
 
 @dataclass
@@ -134,16 +147,18 @@ class FusionReport:
     per_image: list[dict] = field(default_factory=list)
 
     def add(self, name: str, ref, est) -> dict:
-        angle, skipped = sam_detailed(ref, est)
+        r, e = _to_8bit_pair(ref, est)  # once for every metric
+        mses = _band_mses(r, e)
+        angle, skipped = _sam(r, e)
         row = {
             "name": name,
-            "psnr_db": psnr(ref, est),
+            "psnr_db": _psnr(r, e),
             "sam_rad": angle,
             "sam_deg": math.degrees(angle),
             "sam_skipped_fraction": skipped,
-            "ergas": ergas(ref, est, self.scale),
-            "ssim": ssim(ref, est),
-            "band_rmse": [float(v) for v in band_rmse(ref, est)],
+            "ergas": _ergas(r, mses, self.scale),
+            "ssim": _ssim(r, e),
+            "band_rmse": [float(v) for v in np.sqrt(mses)],
         }
         self.per_image.append(row)
         return row

@@ -11,13 +11,19 @@ check in the test suite (float64 mode).
 stride² phase images; each kernel tap then reads one contiguous flat slice of
 one phase image, so the forward pass and both adjoints are k² GEMMs against
 views of that single buffer.
+
+``self_attention`` is one primitive, not a chain of tape ops. The forward pass
+keeps the token view, q, k, v, the softmax probabilities p and the attended
+values; the adjoint reuses them and writes out the softmax Jacobian-vector
+product, ``ds = p * (dp - rowsum(dp * p)) / sqrt(C)``. A call records one
+tape node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, from_op, matmul, reshape, scale, transpose
+from .autodiff import Tensor, as_tensor, from_op
 
 GROUP_NORM_EPS = 1e-5
 
@@ -240,20 +246,6 @@ def silu(x) -> Tensor:
     return from_op(x.data * sig, (x,), bwd)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis."""
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(s * (g - (g * s).sum(axis=axis, keepdims=True)))
-
-    return from_op(s, (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Dense layer and channel plumbing
 # ---------------------------------------------------------------------------
@@ -332,14 +324,32 @@ def self_attention(x, wq, wk, wv, wo) -> Tensor:
     the output projection are learned (C, C) matrices. The attended result is
     added residually, so zero projections give an exact passthrough.
     """
-    x = as_tensor(x)
+    x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
     _require_chw(x, "self_attention")
     c, h, w = x.shape
-    tokens = transpose(reshape(x, (c, h * w)), (1, 0))  # (HW, C)
-    q = matmul(tokens, as_tensor(wq))
-    k = matmul(tokens, as_tensor(wk))
-    v = matmul(tokens, as_tensor(wv))
-    attn = softmax(scale(matmul(q, transpose(k, (1, 0))), 1.0 / np.sqrt(c)), axis=-1)
-    ctx = matmul(matmul(attn, v), as_tensor(wo))
-    out = reshape(transpose(ctx, (1, 0)), (c, h, w))
-    return x + out
+    scale = x.dtype.type(c ** -0.5)
+    tokens = np.ascontiguousarray(x.data.reshape(c, h * w).T)  # (HW, C)
+    q, k, v = tokens @ wq.data, tokens @ wk.data, tokens @ wv.data
+    p = q @ k.T  # logits, then probabilities in place
+    p *= scale
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    ctx = p @ v
+
+    def bwd(g):
+        g_out = g.reshape(c, h * w).T  # (HW, C)
+        g_ctx = g_out @ wo.data.T
+        g_p = g_ctx @ v.T
+        g_s = p * (g_p - (g_p * p).sum(axis=1, keepdims=True)) * scale  # of the logits
+        g_q, g_k, g_v = g_s @ k, g_s.T @ q, p.T @ g_ctx
+        for m, left, right in ((wq, tokens, g_q), (wk, tokens, g_k), (wv, tokens, g_v),
+                               (wo, ctx, g_out)):
+            if m.requires_grad:
+                m.accumulate_grad(left.T @ right)
+        if x.requires_grad:
+            g_tokens = g_q @ wq.data.T + g_k @ wk.data.T + g_v @ wv.data.T
+            x.accumulate_grad(g + g_tokens.T.reshape(c, h, w))
+
+    out = x.data + (ctx @ wo.data).T.reshape(c, h, w)
+    return from_op(out, (x, wq, wk, wv, wo), bwd)

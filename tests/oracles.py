@@ -59,6 +59,24 @@ def conv2d_loops(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -
     return out
 
 
+def attention_loops(x: np.ndarray, wq, wk, wv, wo) -> np.ndarray:
+    """Residual single-head attention, one query token at a time."""
+    c, h, w = x.shape
+    tokens = [x[:, i, j] for i in range(h) for j in range(w)]
+    keys = [t @ wk for t in tokens]
+    values = [t @ wv for t in tokens]
+    out = x.astype(np.float64)
+    for n, t in enumerate(tokens):
+        query = t @ wq
+        logits = [float(query @ key) / math.sqrt(c) for key in keys]
+        top = max(logits)
+        weights = [math.exp(v - top) for v in logits]
+        total = sum(weights)
+        attended = sum(wt / total * val for wt, val in zip(weights, values))
+        out[:, n // w, n % w] += attended @ wo
+    return out
+
+
 def gaussian_kl_equal_var(mu0: float, mu1: float, var: float) -> float:
     """KL(N(mu0, var) || N(mu1, var)) for scalars."""
     return (mu0 - mu1) ** 2 / (2.0 * var)

@@ -109,13 +109,6 @@ class TestTensorBasics:
         assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
         assert Tensor(np.zeros(2, dtype=np.float32)).dtype == np.float32
 
-    def test_matmul_shapes(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)))
-        with pytest.raises(ValueError):
-            ad.matmul(a, Tensor(rng.normal(size=(2, 3))))
-        with pytest.raises(ValueError):
-            ad.matmul(a, Tensor(rng.normal(size=(3,))))
-
 
 class TestDeterminism:
     def test_bit_identical_reruns(self, rng):

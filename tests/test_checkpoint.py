@@ -99,6 +99,40 @@ class TestValidation:
         with pytest.raises(CheckpointFormatError, match="truncated"):
             load_checkpoint(path)
 
+    # inside the version, the header length and the header
+    @pytest.mark.parametrize("cut", [8, 10, 14, 19, 30])
+    def test_truncated_before_payload(self, setup, cut):
+        cfg, params, _, path = setup
+        save_checkpoint(path, cfg, params)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CheckpointFormatError, match="file ends inside"):
+            load_checkpoint(path)
+
+    def test_header_length_beyond_file(self, setup):
+        cfg, params, _, path = setup
+        save_checkpoint(path, cfg, params)
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = struct.pack("<Q", 2**62)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError, match="ends inside the 4611686018427387904-byte"):
+            load_checkpoint(path)
+
+    def test_header_not_an_object(self, setup):
+        cfg, params, _, path = setup
+        save_checkpoint(path, cfg, params)
+        _with_header(path, [])
+        with pytest.raises(CheckpointFormatError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    def test_header_without_tensors(self, setup):
+        cfg, params, _, path = setup
+        save_checkpoint(path, cfg, params)
+        header = _header(path)
+        del header["tensors"]
+        _with_header(path, header)
+        with pytest.raises(CheckpointFormatError, match="'tensors'"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, setup):
         cfg, params, _, path = setup
         save_checkpoint(path, cfg, params)

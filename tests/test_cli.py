@@ -151,6 +151,21 @@ class TestFuse:
         assert err.startswith("error:") and "'down0.pool.w'" in err
         assert not (tmp / "x.hsic").exists()
 
+    def test_truncated_checkpoint_reported(self, workspace, rng, capsys):
+        tmp, gt, srf, cube = workspace
+        main(["simulate", "--in", str(gt), "--block", str(SCALE), "--srf", str(srf),
+              "--out-lr", str(tmp / "lr.hsic"), "--out-msi", str(tmp / "msi.hsic")])
+        ckpt_path, _ = make_checkpoint(tmp, rng)
+        ckpt_path.write_bytes(ckpt_path.read_bytes()[:14])
+        capsys.readouterr()
+        rc = main(["fuse", "--checkpoint", str(ckpt_path), "--lr", str(tmp / "lr.hsic"),
+                   "--msi", str(tmp / "msi.hsic"), "--steps", "2",
+                   "--out", str(tmp / "x.hsic")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ends inside" in err
+        assert not (tmp / "x.hsic").exists()
+
 
 def write_run_config(tmp_path, entries_train, entries_test, iterations=2):
     cfg = {

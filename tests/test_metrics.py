@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,30 @@ class TestFusionReport:
             assert avg[key] == pytest.approx(np.mean([r[key] for r in rows]))
         assert len(avg["band_rmse"]) == 3
 
+    @pytest.mark.parametrize("case", ["plain", "zero_mean_band", "zero_norm_pixels"])
+    def test_row_equals_public_functions(self, rng, case):
+        ref = rng.uniform(10, 245, size=(3, 12, 12))
+        est = ref + rng.normal(size=ref.shape)
+        if case == "zero_mean_band":
+            ref[1] = 0.0
+        if case == "zero_norm_pixels":
+            ref[:, :2, :3] = 0.0
+            est[:, 5, 5] = 0.0
+        ref, est = cube(ref), cube(est)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = FusionReport(scale=4).add("x", ref, est)
+            angle, skipped = sam_detailed(ref, est)
+            want = {
+                "name": "x", "psnr_db": psnr(ref, est), "sam_rad": angle,
+                "sam_deg": math.degrees(angle), "sam_skipped_fraction": skipped,
+                "ergas": ergas(ref, est, 4), "ssim": ssim(ref, est),
+                "band_rmse": [float(v) for v in band_rmse(ref, est)],
+            }
+        assert row == want
+        assert (len(caught) == 2) == (case == "zero_mean_band")  # add and ergas warn
+        assert (skipped > 0) == (case == "zero_norm_pixels")
+
     def test_save_writes_json_and_band_table(self, rng, tmp_path):
         report = FusionReport(scale=4)
         ref = cube(rng.uniform(10, 245, size=(2, 10, 10)))
@@ -176,8 +201,6 @@ class TestTotality:
     def test_no_nan_outputs_on_degenerate_inputs(self, rng):
         # metrics stay total over finite inputs: sentinels and skips instead
         # of NaN
-        import warnings
-
         zero = cube(np.zeros((2, 10, 10)))
         noisy = cube(rng.uniform(0, 255, size=(2, 10, 10)))
         with warnings.catch_warnings():
