@@ -3,7 +3,12 @@
 A ``Tensor`` wraps a contiguous numpy array. Operations build an implicit
 tape: every non-leaf tensor records its parents and a closure that maps the
 output adjoint to parent adjoints. ``backward`` replays that tape in reverse
-topological order, visiting each node exactly once.
+topological order, visiting each node exactly once, and consumes it as it
+goes: once a node's adjoint has run, the node drops its gradient, its closure
+and its parent links, so the memory of the graph falls while backward runs.
+Only leaves (tensors made with ``requires_grad=True`` rather than by an
+operation) keep ``grad``. A graph can be walked once; a second ``backward``
+through a consumed node raises ``RuntimeError``.
 
 Two float widths are supported. Training and inference default to float32;
 verification (finite-difference gradient checking) switches the default to
@@ -80,8 +85,9 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.broadcast_to(g, self.data.shape).astype(self.data.dtype)
+        else:
+            self.grad += g
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
@@ -130,11 +136,23 @@ def from_op(data: np.ndarray, parents, backward_fn) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` for every reachable tensor with ``requires_grad``.
+def _consumed(grad) -> None:
+    # stands in for the closure of a node whose adjoint has already run
+    raise RuntimeError(
+        "backward through a graph that was already used: each backward pass "
+        "consumes the graph it walks; run the forward pass again"
+    )
 
-    The loss must be scalar. Gradients accumulate: calling backward again
-    without zeroing adds the new adjoints onto the old ones.
+
+def backward(loss: Tensor) -> None:
+    """Populate ``grad`` for every reachable leaf with ``requires_grad``.
+
+    The loss must be scalar. Gradients accumulate on leaves: a backward pass
+    over a freshly built graph adds its adjoints onto the ones already there.
+    The graph is consumed: after a node's adjoint has run, its ``grad``, its
+    closure and its parent links are dropped, so intermediate tensors hold no
+    gradient afterwards. A second backward through any node of a used graph
+    raises ``RuntimeError``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -143,9 +161,14 @@ def backward(loss: Tensor) -> None:
 
     order = _topo_order(loss)
     loss.accumulate_grad(np.ones_like(loss.data))
-    for node in reversed(order):
-        if node._backward_fn is not None:
-            node._backward_fn(node.grad)
+    while order:
+        node = order.pop()
+        if node._backward_fn is None:  # a leaf keeps its gradient
+            continue
+        grad, node.grad = node.grad, None
+        fn, node._backward_fn = node._backward_fn, _consumed
+        node._parents = ()
+        fn(grad)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

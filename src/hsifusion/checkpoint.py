@@ -17,6 +17,7 @@ fine for inference but refuses to resume training.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -126,37 +127,32 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(f"{path}: header has no {', '.join(map(repr, missing))}")
 
     config = DenoiserConfig.from_dict(header["config"])
+    specs = _tensor_specs(path, header["tensors"])
     params: dict[str, Tensor] = {}
     offset = 0
 
-    def take(shape, tag) -> np.ndarray:
+    def take(shape, dt) -> np.ndarray:
         nonlocal offset
-        dt = _DTYPE_TAGS.get(tag)
-        if dt is None:
-            raise CheckpointFormatError(f"{path}: unknown dtype tag '{tag}'")
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dt).itemsize
+        count = math.prod(shape)  # exact: a corrupt shape must not wrap around
+        n_bytes = count * np.dtype(dt).itemsize
         if offset + n_bytes > len(payload):
             raise CheckpointFormatError(
                 f"{path}: payload truncated at byte {offset} (+{n_bytes} needed)"
             )
-        arr = np.frombuffer(payload, dtype=dt, count=int(np.prod(shape, dtype=np.int64)),
-                            offset=offset).reshape(shape).copy()
+        arr = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape).copy()
         offset += n_bytes
         return arr
 
-    for spec in header["tensors"]:
-        params[spec["name"]] = Tensor(
-            take(spec["shape"], spec["dtype"]), requires_grad=True,
-            dtype=np.dtype(_DTYPE_TAGS[spec["dtype"]]).type,
-        )
+    for name, shape, dt in specs:
+        params[name] = Tensor(take(shape, dt), requires_grad=True, dtype=np.dtype(dt).type)
 
     opt_state = None
     if header["optimizer"] is not None:
         opt = header["optimizer"]
         m, v = {}, {}
-        for spec in header["tensors"]:
-            m[spec["name"]] = take(spec["shape"], spec["dtype"])
-            v[spec["name"]] = take(spec["shape"], spec["dtype"])
+        for name, shape, dt in specs:
+            m[name] = take(shape, dt)
+            v[name] = take(shape, dt)
         opt_state = {
             "beta1": opt["beta1"], "beta2": opt["beta2"], "eps": opt["eps"],
             "step": opt["step"], "m": m, "v": v,
@@ -169,3 +165,32 @@ def load_checkpoint(path) -> Checkpoint:
         config=config, params=params, opt_state=opt_state,
         step=int(header["step"]), schedule=header.get("schedule"),
     )
+
+
+def _tensor_specs(path, entries) -> list[tuple[str, tuple[int, ...], str]]:
+    """Check the header's tensor manifest: (name, shape, numpy dtype) per entry."""
+    if not isinstance(entries, list):
+        raise CheckpointFormatError(f"{path}: header 'tensors' is not a list")
+    specs, seen = [], set()
+    for i, spec in enumerate(entries):
+        where = f"{path}: tensor entry {i}"
+        if not isinstance(spec, dict):
+            raise CheckpointFormatError(f"{where} is not a JSON object")
+        missing = [k for k in ("name", "shape", "dtype") if k not in spec]
+        if missing:
+            raise CheckpointFormatError(f"{where} has no {', '.join(map(repr, missing))}")
+        name, shape, tag = spec["name"], spec["shape"], spec["dtype"]
+        if not isinstance(name, str):
+            raise CheckpointFormatError(f"{where} has name {name!r}, not a string")
+        where = f"{where} ({name!r})"
+        if name in seen:
+            raise CheckpointFormatError(f"{where} repeats an earlier entry's name")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise CheckpointFormatError(
+                f"{where} has shape {shape!r}, not a list of non-negative integers"
+            )
+        if tag not in _DTYPE_TAGS:
+            raise CheckpointFormatError(f"{where} has unknown dtype tag {tag!r}")
+        seen.add(name)
+        specs.append((name, tuple(shape), _DTYPE_TAGS[tag]))
+    return specs

@@ -17,6 +17,19 @@ keeps the token view, q, k, v, the softmax probabilities p and the attended
 values; the adjoint reuses them and writes out the softmax Jacobian-vector
 product, ``ds = p * (dp - rowsum(dp * p)) / sqrt(C)``. A call records one
 tape node.
+
+What each adjoint's closure keeps alive until backward reaches it, beyond
+its parent tensors (whose buffers the tape holds anyway):
+
+- ``conv2d``: nothing; the adjoint rebuilds the phase images from ``x``.
+- ``group_norm``: the per-group mean and 1/std; the adjoint rebuilds the
+  standardized input from ``x``.
+- ``silu``: the sigmoid of the input, one array of the input's size;
+  rebuilding it would cost a tanh pass in every adjoint.
+- ``self_attention``: the token view, q, k, v, p and the attended values.
+- ``bicubic_upsample``: its two interpolation matrices, (h*S, h) and (w*S, w).
+- ``upsample_nearest``, ``downsample_stride``, ``dense``, ``add_channel_bias``
+  and ``concat_channels``: nothing.
 """
 
 from __future__ import annotations
@@ -51,8 +64,9 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     (i // s) * wq + j // s, so the output is the sum of k² GEMMs
     (C_out, C_in) @ (C_in, h_out * wq), cropped to w_out of every wq columns.
     The kernel gradient multiplies the zero-widened output gradient by the
-    same slices; the input gradient scatter-adds K_ijᵀ @ g into them and
-    interleaves the phases back.
+    same slices, which the adjoint rebuilds from ``x`` rather than keeping;
+    the input gradient scatter-adds K_ijᵀ @ g into them and interleaves the
+    phases back.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     _require_chw(x, "conv2d")
@@ -74,11 +88,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     w_out = (w + 2 * padding - k) // s + 1
     hq = -(-(h + 2 * padding) // s) + 1
     wq = -(-(w + 2 * padding) // s)
-    xp = np.zeros((c_in, hq * s, wq * s), dtype=x.dtype)  # zero pad and tail
-    xp[:, padding:padding + h, padding:padding + w] = x.data
-    phases = np.ascontiguousarray(
-        xp.reshape(c_in, hq, s, wq, s).transpose(2, 4, 0, 1, 3)
-    ).reshape(s, s, c_in, hq * wq)
+    phases = _phase_images(x.data, s, padding, hq, wq)
     n = h_out * wq
     taps = [(i, j, i % s, j % s, (i // s) * wq + j // s)
             for i in range(k) for j in range(k)]
@@ -93,6 +103,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
         gf = np.zeros((c_out, h_out, wq), dtype=g.dtype)
         gf[:, :, :w_out] = g
         gf = gf.reshape(c_out, n)  # wrapped columns carry zero adjoint
+        phases = _phase_images(x.data, s, padding, hq, wq)
         if kernel.requires_grad:
             gk = np.empty_like(kernel.data)
             for i, j, a, b, off in taps:
@@ -109,6 +120,16 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
 
     out = out.reshape(c_out, h_out, wq)[:, :, :w_out]
     return from_op(np.ascontiguousarray(out), (x, kernel), bwd)
+
+
+def _phase_images(x: np.ndarray, s: int, padding: int, hq: int, wq: int) -> np.ndarray:
+    # (s, s, C, hq * wq): phase (a, b) is the zero-padded input's [:, a::s, b::s]
+    c, h, w = x.shape
+    xp = np.zeros((c, hq * s, wq * s), dtype=x.dtype)  # zero pad and tail
+    xp[:, padding:padding + h, padding:padding + w] = x
+    return np.ascontiguousarray(
+        xp.reshape(c, hq, s, wq, s).transpose(2, 4, 0, 1, 3)
+    ).reshape(s, s, c, hq * wq)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +152,15 @@ def bicubic_weight_matrix(n: int, scale: int, dtype=np.float64) -> np.ndarray:
     Output sample i reads input coordinate (i + 0.5) / scale - 0.5, so scale 1
     is the exact identity.
     """
-    m = np.zeros((n * scale, n), dtype=np.float64)
-    for i in range(n * scale):
-        src = (i + 0.5) / scale - 0.5
-        i0 = int(np.floor(src))
-        t = src - i0
-        idx = np.array([i0 - 1, i0, i0 + 1, i0 + 2])
-        wts = _catmull_rom(np.array([1 + t, t, 1 - t, 2 - t]))
-        for j, wt in zip(np.clip(idx, 0, n - 1), wts):
-            m[i, j] += wt
+    rows = n * scale
+    src = (np.arange(rows) + 0.5) / scale - 0.5
+    i0 = np.floor(src)
+    t = (src - i0)[:, None]
+    idx = np.clip(i0.astype(np.int64)[:, None] + np.arange(-1, 3), 0, n - 1)
+    wts = _catmull_rom(np.concatenate([1 + t, t, 1 - t, 2 - t], axis=1))
+    m = np.zeros((rows, n), dtype=np.float64)
+    # taps clipped onto the same edge pixel add up, in tap order
+    np.add.at(m, (np.arange(rows)[:, None], idx), wts)
     return m.astype(dtype)
 
 
@@ -196,7 +217,11 @@ def downsample_stride(x, stride: int = 2) -> Tensor:
 
 
 def group_norm(x, groups: int, gamma, beta) -> Tensor:
-    """Per-group standardization over (channels/groups, H, W), then affine."""
+    """Per-group standardization over (channels/groups, H, W), then affine.
+
+    The variance is taken from the centred values (two passes), so a large
+    common offset costs no float32 precision.
+    """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     _require_chw(x, "group_norm")
     c, h, w = x.shape
@@ -207,20 +232,22 @@ def group_norm(x, groups: int, gamma, beta) -> Tensor:
 
     xg = x.data.reshape(groups, -1)
     mu = xg.mean(axis=1, keepdims=True)
-    var = xg.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
-    xhat = ((xg - mu) * inv_std).reshape(c, h, w)
-    out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
+    d = xg - mu
+    inv_std = 1.0 / np.sqrt((d * d).mean(axis=1, keepdims=True) + GROUP_NORM_EPS)
+    # d becomes the output in place: one (C, H, W) buffer, scaled per channel
+    out = d.reshape(c, h, w)
+    out *= (gamma.data.reshape(groups, -1) * inv_std).reshape(c, 1, 1)
+    out += beta.data[:, None, None]
 
     def bwd(g):
+        xh = (x.data.reshape(groups, -1) - mu) * inv_std  # rebuilt, not kept
         if beta.requires_grad:
             beta.accumulate_grad(g.sum(axis=(1, 2)))
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=(1, 2)))
+            gamma.accumulate_grad((g * xh.reshape(c, h, w)).sum(axis=(1, 2)))
         if x.requires_grad:
-            m = xg.shape[1]
+            m = xh.shape[1]
             dxhat = (g * gamma.data[:, None, None]).reshape(groups, -1)
-            xh = xhat.reshape(groups, -1)
             s1 = dxhat.sum(axis=1, keepdims=True)
             s2 = (dxhat * xh).sum(axis=1, keepdims=True)
             gx = inv_std / m * (m * dxhat - s1 - xh * s2)

@@ -128,3 +128,22 @@ def stepwise_chain(x0: np.ndarray, t: int, betas: np.ndarray, rng) -> np.ndarray
         beta = betas[s]
         x = math.sqrt(1.0 - beta) * x + math.sqrt(beta) * rng.standard_normal(x.shape)
     return x
+
+
+def bicubic_weight_loops(n: int, scale: int) -> np.ndarray:
+    """(n*scale, n) Catmull-Rom matrix, one output sample at a time.
+
+    Taps outside [0, n) are clamped onto the edge pixel and add up there.
+    """
+    m = np.zeros((n * scale, n))
+    for i in range(n * scale):
+        src = (i + 0.5) / scale - 0.5
+        i0 = math.floor(src)
+        t = src - i0
+        u = np.abs(np.array([1 + t, t, 1 - t, 2 - t]))  # distances to the 4 taps
+        near = 1.5 * u**3 - 2.5 * u**2 + 1
+        far = -0.5 * (u**3 - 5 * u**2 + 8 * u - 4)
+        weights = np.where(u <= 1, near, np.where(u < 2, far, 0.0))
+        for j, wt in zip((i0 - 1, i0, i0 + 1, i0 + 2), weights):
+            m[i, min(max(j, 0), n - 1)] += wt
+    return m

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hsifusion.autodiff as ad
+from hsifusion import ops
 from hsifusion.autodiff import Tensor, backward
 
 
@@ -68,6 +69,39 @@ class TestBackwardContracts:
             h = ad.add(h, 0.0)
         backward(ad.sum_all(h))
         np.testing.assert_array_equal(x.grad, np.ones(2))
+
+
+class TestConsumedGraph:
+    def test_only_leaves_keep_state(self, op_outputs, rng):
+        # every non-leaf drops its gradient, closure and parent links once
+        # its adjoint has run; the leaves keep their gradients
+        x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+        gamma = Tensor(np.ones(4), requires_grad=True)
+        beta = Tensor(np.zeros(4), requires_grad=True)
+        h = ops.silu(ops.group_norm(ops.conv2d(x, k, padding=1), 2, gamma, beta))
+        backward(ad.mean_all(ad.mul(h, h)))
+        assert len(op_outputs) == 5
+        for out in op_outputs:
+            assert out.grad is None and out._parents == ()
+            assert out._backward_fn.__closure__ is None
+        assert all(leaf.grad is not None for leaf in (x, k, gamma, beta))
+
+    def test_second_backward_raises(self, rng):
+        x = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        loss = ad.sum_all(ad.mul(x, x))
+        backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already used"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_new_loss_on_consumed_node_raises(self, rng):
+        x = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        y = ad.mul(x, x)
+        backward(ad.sum_all(y))
+        with pytest.raises(RuntimeError, match="already used"):
+            backward(ad.mean_all(y))
 
 
 class TestTensorBasics:

@@ -72,6 +72,29 @@ class TestRoundTrip:
         assert sorted(ckpt.params) == sorted(params)
 
 
+# a corruption of the header's tensor manifest, and the error it must raise
+_MANIFEST_EDITS = {
+    "not-a-list": (lambda h: h.update(tensors={t["name"]: t for t in h["tensors"]}),
+                   "'tensors' is not a list"),
+    "entry-not-object": (lambda h: h["tensors"].__setitem__(0, "w"),
+                         "tensor entry 0 is not a JSON object"),
+    "no-name": (lambda h: h["tensors"][0].pop("name"), "tensor entry 0 has no 'name'"),
+    "no-shape": (lambda h: h["tensors"][1].pop("shape"), "tensor entry 1 has no 'shape'"),
+    "no-dtype": (lambda h: h["tensors"][2].pop("dtype"), "tensor entry 2 has no 'dtype'"),
+    "name-not-string": (lambda h: h["tensors"][0].update(name=7),
+                        "entry 0 has name 7, not a string"),
+    "negative-dim": (lambda h: h["tensors"][0].update(shape=[-1, 8]),
+                     r"entry 0 \('.+'\) has shape \[-1, 8\]"),
+    "fractional-dim": (lambda h: h["tensors"][1].update(shape=[2.5]),
+                       r"entry 1 \('.+'\) has shape \[2.5\]"),
+    "shape-not-list": (lambda h: h["tensors"][1].update(shape=8),
+                       r"entry 1 \('.+'\) has shape 8,"),
+    "unknown-dtype": (lambda h: h["tensors"][0].update(dtype="i4"), "unknown dtype tag 'i4'"),
+    "duplicate-name": (lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
+                       r"entry 1 \('.+'\) repeats an earlier entry's name"),
+}
+
+
 class TestValidation:
     def test_tampered_magic(self, setup):
         cfg, params, _, path = setup
@@ -131,6 +154,17 @@ class TestValidation:
         del header["tensors"]
         _with_header(path, header)
         with pytest.raises(CheckpointFormatError, match="'tensors'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(_MANIFEST_EDITS))
+    def test_malformed_tensor_manifest_named(self, setup, case):
+        cfg, params, opt, path = setup
+        save_checkpoint(path, cfg, params, opt.to_dict())
+        header = _header(path)
+        edit, message = _MANIFEST_EDITS[case]
+        edit(header)
+        _with_header(path, header)
+        with pytest.raises(CheckpointFormatError, match=message):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, setup):

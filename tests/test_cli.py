@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -164,6 +165,27 @@ class TestFuse:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "ends inside" in err
+        assert not (tmp / "x.hsic").exists()
+
+
+    def test_malformed_checkpoint_manifest_reported(self, workspace, rng, capsys):
+        tmp, gt, srf, cube = workspace
+        main(["simulate", "--in", str(gt), "--block", str(SCALE), "--srf", str(srf),
+              "--out-lr", str(tmp / "lr.hsic"), "--out-msi", str(tmp / "msi.hsic")])
+        ckpt_path, _ = make_checkpoint(tmp, rng)
+        raw = ckpt_path.read_bytes()
+        (n,) = struct.unpack("<Q", raw[12:20])
+        header = json.loads(raw[20:20 + n])
+        del header["tensors"][0]["shape"]
+        head = json.dumps(header).encode("utf-8")
+        ckpt_path.write_bytes(raw[:12] + struct.pack("<Q", len(head)) + head + raw[20 + n:])
+        capsys.readouterr()
+        rc = main(["fuse", "--checkpoint", str(ckpt_path), "--lr", str(tmp / "lr.hsic"),
+                   "--msi", str(tmp / "msi.hsic"), "--steps", "2",
+                   "--out", str(tmp / "x.hsic")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tensor entry 0 has no 'shape'" in err
         assert not (tmp / "x.hsic").exists()
 
 

@@ -8,7 +8,7 @@ import hsifusion.autodiff as ad
 from hsifusion.autodiff import Tensor, backward, mean_all, mul, sum_all
 from hsifusion import ops
 
-from oracles import assert_grads_match, attention_loops, conv2d_loops
+from oracles import assert_grads_match, attention_loops, bicubic_weight_loops, conv2d_loops
 
 
 def _sq_loss(out):
@@ -58,22 +58,41 @@ class TestConv2d:
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("stride,padding,side,size", [
-        pytest.param(1, 0, 3, 4, id="1-0"),
-        pytest.param(1, 1, 3, 4, id="1-1"),
-        pytest.param(2, 1, 3, 4, id="2-1"),
-        pytest.param(2, 0, 3, 4, id="2-0"),
-        pytest.param(1, 0, 1, 4, id="k1"),  # the model's skip convs
-        pytest.param(1, 2, 5, 4, id="k5-pad2"),
-        pytest.param(3, 0, 3, 8, id="3-0-tail"),  # last 2 rows never reached
+        pytest.param(1, 0, 3, (4, 4), id="1-0"),
+        pytest.param(1, 1, 3, (4, 4), id="1-1"),
+        pytest.param(2, 1, 3, (4, 4), id="2-1"),
+        pytest.param(2, 0, 3, (4, 4), id="2-0"),
+        pytest.param(1, 0, 1, (4, 4), id="k1"),  # the model's skip convs
+        pytest.param(1, 2, 5, (4, 4), id="k5-pad2"),
+        pytest.param(3, 0, 3, (8, 8), id="3-0-tail"),  # last 2 rows never reached
         # odd sides under stride 2 and 3: the phase images differ in size
-        pytest.param(2, 1, 3, 7, id="2-1-odd"),
-        pytest.param(2, 0, 5, 7, id="2-0-k5-odd"),
-        pytest.param(3, 2, 5, 7, id="3-2-k5-odd"),
+        pytest.param(2, 1, 3, (7, 7), id="2-1-odd"),
+        pytest.param(2, 0, 5, (7, 7), id="2-0-k5-odd"),
+        pytest.param(3, 2, 5, (7, 7), id="3-2-k5-odd"),
+        # non-square inputs: the phase images are not square either
+        pytest.param(2, 1, 3, (5, 8), id="2-1-5x8"),
+        pytest.param(2, 1, 3, (8, 5), id="2-1-8x5"),
+        pytest.param(3, 0, 3, (4, 10), id="3-0-4x10"),
+        pytest.param(1, 2, 5, (9, 3), id="k5-pad2-9x3"),
     ])
     def test_gradients(self, f64, rng, stride, padding, side, size):
-        x = Tensor(rng.normal(size=(2, size, size)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, *size)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 2, side, side)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.conv2d(x, k, stride, padding)), [x, k])
+
+
+    def test_closure_keeps_only_parents(self, rng):
+        x = Tensor(rng.normal(size=(3, 6, 7)), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        assert _held_arrays(ops.conv2d(x, k, stride=2, padding=1)) == []
+
+
+def _held_arrays(out):
+    """Arrays captured by ``out``'s adjoint beyond its parents' buffers."""
+    parents = [p.data for p in out._parents]
+    return [c.cell_contents for c in out._backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)
+            and not any(np.shares_memory(c.cell_contents, d) for d in parents)]
 
 
 class TestBicubicUpsample:
@@ -105,6 +124,15 @@ class TestBicubicUpsample:
         with pytest.raises(ValueError, match="scale"):
             ops.bicubic_upsample(Tensor(rng.normal(size=(1, 4, 4))), 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 32])
+    @pytest.mark.parametrize("scale", [1, 2, 3, 8])
+    def test_weight_matrix_matches_loop_oracle(self, n, scale):
+        want = bicubic_weight_loops(n, scale)
+        for dtype in (np.float32, np.float64):
+            got = ops.bicubic_weight_matrix(n, scale, dtype=dtype)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want.astype(dtype))
+
     def test_gradient(self, f64, rng):
         x = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.bicubic_upsample(x, 2)), [x])
@@ -128,6 +156,26 @@ class TestGroupNorm:
         x = Tensor(rng.normal(size=(6, 4, 4)))
         with pytest.raises(ValueError, match="divisible"):
             ops.group_norm(x, 4, Tensor(np.ones(6)), Tensor(np.zeros(6)))
+
+    def test_float32_offset_input(self, rng):
+        # two-pass variance: a large common offset costs no precision
+        x = (1e3 + rng.normal(size=(8, 16, 16))).astype(np.float32)
+        gamma = rng.normal(size=8).astype(np.float32)
+        beta = rng.normal(size=8).astype(np.float32)
+        out = ops.group_norm(Tensor(x), 4, Tensor(gamma), Tensor(beta)).data
+        xg = x.astype(np.float64).reshape(4, -1)
+        xhat = (xg - xg.mean(axis=1, keepdims=True)) / np.sqrt(
+            xg.var(axis=1, keepdims=True) + ops.GROUP_NORM_EPS)
+        ref = gamma[:, None, None] * xhat.reshape(x.shape) + beta[:, None, None]
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, ref, rtol=1e-3, atol=1e-3 * np.abs(ref).max())
+
+    def test_closure_keeps_per_group_statistics(self, rng):
+        x = Tensor(rng.normal(size=(8, 5, 5)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=(8,)), requires_grad=True)
+        beta = Tensor(rng.normal(size=(8,)), requires_grad=True)
+        held = _held_arrays(ops.group_norm(x, 4, gamma, beta))
+        assert held and all(a.shape == (4, 1) for a in held)
 
     def test_gradients(self, f64, rng):
         x = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
