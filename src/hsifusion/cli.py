@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint
-from .datacube import HsiCube, read_cube, write_cube
+from .datacube import HsiCube, _atomic_write_text, read_cube, write_cube
 from .degrade import ObservationModel, load_srf, simulate_observations
 from .denoiser import DenoiserConfig, param_count
 from .metrics import FusionReport
@@ -101,10 +101,8 @@ def _write_manifest(primary_output, command: str, args: dict,
     }
     if config_path is not None:
         manifest["config_sha256"] = _sha256(config_path)
-    path = str(primary_output) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _atomic_write_text(str(primary_output) + ".manifest.json",
+                       json.dumps(manifest, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +227,9 @@ def _cmd_ablate(args) -> int:
         lines.append(loss_name + "\t" + "\t".join(f"{grid[loss_name][d]:.2f}" for d in steps_list))
     lines.append("time_s\t" + "\t".join(f"{times[d]:.3f}" for d in steps_list))
     table = "\n".join(lines) + "\n"
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(table)
-    with open(str(args.report) + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"steps": steps_list, "psnr": grid, "time_s": times}, fh, indent=2)
-        fh.write("\n")
+    _atomic_write_text(args.report, table)
+    _atomic_write_text(str(args.report) + ".json", json.dumps(
+        {"steps": steps_list, "psnr": grid, "time_s": times}, indent=2) + "\n")
     _write_manifest(args.report, "ablate", vars(args),
                     seeds={"seed": seed, "train_seed": cfg.train.seed},
                     config_path=args.config)

@@ -15,6 +15,7 @@ and byte-countable from the header alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -92,6 +93,12 @@ def _atomic_open(path):
             os.remove(tmp)
 
 
+def _atomic_write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through ``_atomic_open``."""
+    with _atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def write_cube(path, cube: HsiCube) -> None:
     data = np.ascontiguousarray(cube.data, dtype="<f4")
     if not np.all(np.isfinite(data)):
@@ -109,7 +116,7 @@ def write_cube(path, cube: HsiCube) -> None:
     with _atomic_open(path) as fh:
         fh.write(MAGIC_LINE)
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(data.tobytes())
+        fh.write(data.reshape(-1).view(np.uint8))  # a byte view, not a copy
 
 
 def read_cube(path) -> HsiCube:
@@ -128,14 +135,19 @@ def read_cube(path) -> HsiCube:
             raise CubeFormatError(f"{path}: unsupported dtype '{header['dtype']}'")
         if header["interleave"] != "band-sequential":
             raise CubeFormatError(f"{path}: unsupported interleave '{header['interleave']}'")
-        bands, h, w = int(header["bands"]), int(header["height"]), int(header["width"])
-        expected = bands * h * w * 4
-        payload = fh.read()
-        if len(payload) != expected:
+        shape = (int(header["bands"]), int(header["height"]), int(header["width"]))
+        if min(shape) < 0:
+            raise CubeFormatError(f"{path}: negative size in header {shape}")
+        expected = math.prod(shape) * 4
+        # size the payload before allocating, then read it straight into place
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held == expected:
+            data = np.empty(shape, dtype="<f4")
+            held = fh.readinto(data.reshape(-1).view(np.uint8))
+        if held != expected:
             raise CubeFormatError(
-                f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
+                f"{path}: payload holds {held} bytes, header implies {expected}"
             )
-    data = np.frombuffer(payload, dtype="<f4").reshape(bands, h, w).copy()
     if not np.all(np.isfinite(data)):
         raise CubeFormatError(f"{path}: payload contains non-finite values")
     return HsiCube(

@@ -177,7 +177,9 @@ def fuse(
     else:
         fused = _fuse_tiled(params, cfg, sched, z_arr, y_up, x_init, tau,
                             sigma_mode, step_noise, tile, tile_stride)
-    fused = np.clip(fused, 0.0, 1.0).astype(np.float32)
+    # clip in place and cast without a copy when already float32: the
+    # tiled blend is a float64 scene, so each temporary would be 2 cubes
+    fused = np.clip(fused, 0.0, 1.0, out=fused).astype(np.float32, copy=False)
     name = y.name if isinstance(y, HsiCube) else None
     return HsiCube(fused, value_range=(0.0, 1.0), name=name)
 
@@ -238,4 +240,5 @@ def _fuse_tiled(params, cfg, sched, z_arr, y_up, x_init, tau, sigma_mode,
             w2d = np.outer(win[:patch.shape[1]], win[:patch.shape[2]])
             acc[sl] += patch * w2d
             weight[r:r + tile, c:c + tile] += w2d
-    return acc / np.maximum(weight, 1e-12)
+    acc /= np.maximum(weight, 1e-12)
+    return acc

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,32 @@ def op_outputs(monkeypatch):
             return out
         monkeypatch.setattr(module, "from_op", recording)
     return outputs
+
+
+class _PeakAlloc:
+    """tracemalloc over a ``with`` block. ``peak`` (set on exit) is the traced
+    peak in bytes above the baseline: the block's start until ``mark()``."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        self.mark()
+        return self
+
+    def mark(self) -> int:
+        """Make what is traced now the baseline and return it in bytes."""
+        self.base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return self.base
+
+    def __exit__(self, *exc):
+        self.peak = tracemalloc.get_traced_memory()[1] - self.base
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_alloc():
+    """``with peak_alloc() as mem: ...``, then ``mem.peak`` in bytes."""
+    return _PeakAlloc
 
 
 class _FullDisk:

@@ -147,3 +147,41 @@ def bicubic_weight_loops(n: int, scale: int) -> np.ndarray:
         for j, wt in zip((i0 - 1, i0, i0 + 1, i0 + 2), weights):
             m[i, min(max(j, 0), n - 1)] += wt
     return m
+
+
+def report_whole_cube(ref: np.ndarray, est: np.ndarray, lo: float, hi: float,
+                      scale: int) -> dict:
+    """The report's metrics from whole 8-bit float64 cubes, one formula each."""
+    r = (ref.astype(np.float64) - lo) * (255.0 / (hi - lo))
+    e = (est.astype(np.float64) - lo) * (255.0 / (hi - lo))
+    bands = r.shape[0]
+    rf, ef = r.reshape(bands, -1), e.reshape(bands, -1)
+    mses = ((rf - ef) ** 2).mean(axis=1)
+    mse = float(np.mean((r - e) ** 2))
+    r2, e2 = np.sum(rf * rf, axis=0), np.sum(ef * ef, axis=0)
+    valid = (r2 > 0) & (e2 > 0)
+    dot = np.sum(rf[:, valid] * ef[:, valid], axis=0)
+    cos2 = np.clip(dot * np.abs(dot) / (r2[valid] * e2[valid]), -1.0, 1.0)
+    angle = float(np.arccos(np.sign(cos2) * np.sqrt(np.abs(cos2))).mean()) if valid.any() else 0.0
+    means = rf.mean(axis=1)
+    ok = means != 0
+    ergas = float(100.0 / scale * np.sqrt(np.mean(mses[ok] / means[ok] ** 2))) if ok.any() else 0.0
+
+    def box(img, k=8):
+        c = np.pad(np.cumsum(np.cumsum(img, axis=0), axis=1), ((1, 0), (1, 0)))
+        return (c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]) / (k * k)
+
+    ssims = []
+    for x, y in zip(r, e):
+        mx, my = box(x), box(y)
+        vx, vy, cov = box(x * x) - mx * mx, box(y * y) - my * my, box(x * y) - mx * my
+        c1, c2 = (0.01 * 255.0) ** 2, (0.03 * 255.0) ** 2
+        ssims.append(np.mean((2 * mx * my + c1) * (2 * cov + c2)
+                             / ((mx * mx + my * my + c1) * (vx + vy + c2))))
+    return {
+        "psnr_db": math.inf if mse == 0 else 10.0 * math.log10(255.0**2 / mse),
+        "sam_rad": angle, "sam_deg": math.degrees(angle),
+        "sam_skipped_fraction": float(1.0 - valid.mean()),
+        "ergas": ergas, "ssim": float(np.mean(ssims)),
+        "band_rmse": [float(v) for v in np.sqrt(mses)],
+    }

@@ -6,7 +6,7 @@ import pytest
 
 from hsifusion.autodiff import Tensor
 from hsifusion.checkpoint import load_checkpoint, save_checkpoint
-from hsifusion.cli import load_run_config, main
+from hsifusion.cli import _write_manifest, load_run_config, main
 from hsifusion.datacube import HsiCube, read_cube, write_cube
 from hsifusion.degrade import ObservationModel, spatial_degrade, uniform_band_groups
 from hsifusion.denoiser import DenoiserConfig, init_params
@@ -51,6 +51,14 @@ class TestSimulate:
         manifest = json.loads((tmp / "lr.hsic.manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["tool"] == "hsifusion"
+
+    def test_failed_manifest_write_keeps_previous(self, tmp_path, full_disk):
+        manifest = tmp_path / "lr.hsic.manifest.json"
+        manifest.write_text("previous manifest")
+        with pytest.raises(OSError, match="No space"):
+            _write_manifest(tmp_path / "lr.hsic", "simulate", {"block": SCALE})
+        assert manifest.read_text() == "previous manifest"
+        assert [f.name for f in tmp_path.iterdir()] == [manifest.name]
 
     def test_self_consistency_against_direct_block_average(self, workspace):
         # recomputing the block average in-process and writing it must match

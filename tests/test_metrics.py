@@ -8,7 +8,7 @@ import pytest
 from hsifusion.datacube import HsiCube
 from hsifusion.metrics import FusionReport, band_rmse, ergas, psnr, sam, sam_detailed, ssim
 
-from oracles import ergas_loops, sam_loops
+from oracles import ergas_loops, report_whole_cube, sam_loops
 
 
 def cube(arr, lo=0.0, hi=255.0):
@@ -183,6 +183,36 @@ class TestFusionReport:
         assert (len(caught) == 2) == (case == "zero_mean_band")  # add and ergas warn
         assert (skipped > 0) == (case == "zero_norm_pixels")
 
+    @pytest.mark.parametrize("case", ["plain", "zero_mean_band", "zero_norm_pixels"])
+    def test_row_matches_whole_cube_oracle(self, rng, case):
+        # odd sizes, a value range other than [0, 255], and the skip cases
+        ref = rng.uniform(0.05, 0.95, size=(5, 13, 11))
+        est = ref + 0.02 * rng.normal(size=ref.shape)
+        if case == "zero_mean_band":
+            ref[2] = 0.0
+        if case == "zero_norm_pixels":
+            ref[:, :3, :2] = 0.0
+            est[:, 7, 9] = 0.0
+        ref, est = ref.astype(np.float32), est.astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            row = FusionReport(scale=4).add("x", cube(ref, 0.0, 1.0), cube(est, 0.0, 1.0))
+            want = report_whole_cube(ref, est, 0.0, 1.0, 4)
+        assert (want["sam_skipped_fraction"] > 0) == (case == "zero_norm_pixels")
+        for key, value in want.items():
+            assert row[key] == pytest.approx(value, rel=1e-12, abs=0), key
+
+    def test_add_memory_scales_with_a_band(self, rng, peak_alloc):
+        # 10.1 input cubes when the pair was converted to 8-bit whole, and
+        # every metric made cube-sized temporaries; 1.2 with the band pass
+        ref = cube(rng.uniform(0.0, 1.0, size=(31, 128, 128)), 0.0, 1.0)
+        est = cube(np.clip(ref.data + rng.normal(0.0, 0.05, size=ref.data.shape), 0.0, 1.0),
+                   0.0, 1.0)
+        report = FusionReport(scale=8)
+        with peak_alloc() as mem:
+            report.add("x", ref, est)
+        assert mem.peak <= 1.5 * ref.data.nbytes, f"{mem.peak / ref.data.nbytes:.2f} cubes"
+
     def test_save_writes_json_and_band_table(self, rng, tmp_path):
         report = FusionReport(scale=4)
         ref = cube(rng.uniform(10, 245, size=(2, 10, 10)))
@@ -195,6 +225,18 @@ class TestFusionReport:
         table = (tmp_path / "report.json.bands.tsv").read_text().splitlines()
         assert table[0].startswith("band\t")
         assert len(table) == 3  # header + 2 bands
+
+
+    def test_failed_save_keeps_previous_report(self, rng, tmp_path, full_disk):
+        report = FusionReport(scale=4)
+        ref = cube(rng.uniform(10, 245, size=(2, 10, 10)))
+        report.add("one", ref, cube(ref.data + 1.0))
+        out = tmp_path / "report.json"
+        out.write_text("previous report")
+        with pytest.raises(OSError, match="No space"):
+            report.save(out)
+        assert out.read_text() == "previous report"
+        assert [f.name for f in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestTotality:

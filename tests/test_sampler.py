@@ -255,6 +255,21 @@ class TestFuse:
             times.append(time.perf_counter() - t0)
         assert times[1] < times[0]
 
+    def test_tiled_fusion_blends_in_place(self, rng, peak_alloc):
+        # 8.1 output cubes when the blend divided, clipped and cast into new
+        # float64 and float32 scenes; 6.1 when it does all three in place
+        cfg = DenoiserConfig(bands=31, msi_bands=3, scale=8, base_channels=8,
+                             channel_multipliers=(1, 2), attention_levels=(),
+                             time_embed_dim=16, groups=4)
+        params = init_params(cfg, rng)
+        y = rng.random((31, 32, 32)).astype(np.float32)
+        z = rng.random((3, 256, 256)).astype(np.float32)
+        with peak_alloc() as mem:
+            out = fuse(params, cfg, linear_schedule(20, 0.1), y, z, select_tau(20, 2),
+                       sigma_mode="posterior", rng_seed=1, tile=64, tile_stride=48)
+        cubes = mem.peak / out.data.nbytes
+        assert cubes <= 7.0, f"tiled fuse peaked at {cubes:.2f} output cubes"
+
 
 class TestCleanCubeEstimator:
     @pytest.mark.parametrize("tile", [None, 8])

@@ -1,5 +1,4 @@
 import copy
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -232,7 +231,7 @@ class TestTrainStep:
 
 
 class TestTapeMemory:
-    def test_backward_frees_the_tape_as_it_goes(self, rng):
+    def test_backward_frees_the_tape_as_it_goes(self, rng, peak_alloc):
         # what backward allocates beyond the live graph: 4.17 MB on a
         # 8.92 MB graph when every node kept its adjoint and closure until
         # the step returned, 0.16 MB on a 6.85 MB graph when backward
@@ -244,16 +243,12 @@ class TestTapeMemory:
         x0 = rng.random((4, 32, 32)).astype(np.float32)
         y = rng.random((4, 16, 16)).astype(np.float32)
         z = rng.random((2, 32, 32)).astype(np.float32)
-        tracemalloc.start()
-        try:
+        with peak_alloc() as mem:
             cond = assemble_condition(x0, y, z)
             loss = add(*(simple_loss(x0, predict_noise(params, cfg, cond, t), 2) for t in (3, 17)))
-            live = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
+            live = mem.mark()
             backward(loss)
-            extra = tracemalloc.get_traced_memory()[1] - live
-        finally:
-            tracemalloc.stop()
+        extra = mem.peak
         assert all(p.grad is not None for p in params.values())
         assert extra < live / 4, f"backward took {extra / 1e6:.2f} MB over a {live / 1e6:.2f} MB graph"
 
