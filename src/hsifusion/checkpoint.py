@@ -10,6 +10,12 @@ Layout (all little-endian):
     payload   raw tensor bytes in manifest order; for the optimizer, the
               first and second moment of each parameter in manifest order
 
+Every tensor and moment is stored in the little-endian dtype its manifest
+entry declares (f4 or f8); a moment is converted to its parameter's byte order
+on write, and one of another float width is refused. On load the payload is
+sized against the manifest before anything is allocated, then read straight
+into the returned arrays with the payload helpers ``datacube`` shares.
+
 Round-trips are bit-exact. A checkpoint saved without optimizer state loads
 fine for inference but refuses to resume training.
 """
@@ -17,7 +23,6 @@ fine for inference but refuses to resume training.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .datacube import _atomic_open
+from .datacube import _atomic_open, _read_header, _read_payload, _write_payload
 from .denoiser import DenoiserConfig
 
 MAGIC = b"HSIFCKPT"
@@ -48,11 +53,10 @@ class Checkpoint:
 
 
 def _dtype_tag(arr: np.ndarray) -> str:
-    if arr.dtype == np.float32:
-        return "f4"
-    if arr.dtype == np.float64:
-        return "f8"
-    raise CheckpointFormatError(f"unsupported tensor dtype {arr.dtype}")
+    tag = arr.dtype.str[1:]  # "f4" for float32 in either byte order
+    if tag not in _DTYPE_TAGS:
+        raise CheckpointFormatError(f"unsupported tensor dtype {arr.dtype}")
+    return tag
 
 
 def save_checkpoint(
@@ -64,40 +68,31 @@ def save_checkpoint(
     schedule: dict | None = None,
 ) -> None:
     names = sorted(params)
-    tensors = [
-        {"name": n, "shape": list(params[n].shape), "dtype": _dtype_tag(params[n].data)}
-        for n in names
-    ]
+    tags = [_dtype_tag(params[n].data) for n in names]
     header: dict = {
         "config": config.to_dict(),
         "schedule": schedule,
         "step": int(step),
-        "tensors": tensors,
+        "tensors": [{"name": n, "shape": list(params[n].shape), "dtype": t}
+                    for n, t in zip(names, tags)],
         "optimizer": None,
     }
-    blobs = [np.ascontiguousarray(params[n].data).tobytes() for n in names]
+    payload = [(params[n].data, _DTYPE_TAGS[t]) for n, t in zip(names, tags)]
     if opt_state is not None:
-        header["optimizer"] = {
-            "beta1": opt_state["beta1"],
-            "beta2": opt_state["beta2"],
-            "eps": opt_state["eps"],
-            "step": int(opt_state["step"]),
-        }
-        for n in names:
+        header["optimizer"] = {k: opt_state[k] for k in ("beta1", "beta2", "eps")}
+        header["optimizer"]["step"] = int(opt_state["step"])
+        for n, tag in zip(names, tags):
             for key in ("m", "v"):
                 mom = np.asarray(opt_state[key][n])
-                if mom.shape != params[n].shape:
-                    raise ValueError(f"optimizer moment '{key}' of '{n}' has wrong shape")
-                blobs.append(np.ascontiguousarray(mom).tobytes())
+                if mom.shape != params[n].shape or mom.dtype.str[1:] != tag:
+                    raise ValueError(f"optimizer moment '{key}' of '{n}' is {mom.dtype.str} "
+                                     f"{mom.shape}, its parameter {tag} {params[n].shape}")
+                payload.append((mom, _DTYPE_TAGS[tag]))
 
     head = json.dumps(header).encode("utf-8")
     with _atomic_open(path) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(head)))
-        fh.write(head)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(head)) + head)
+        _write_payload(fh, payload)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -115,52 +110,25 @@ def load_checkpoint(path) -> Checkpoint:
         # a corrupt length must not size the read
         if head_len > os.fstat(fh.fileno()).st_size - 20:
             raise CheckpointFormatError(f"{path}: file ends inside the {head_len}-byte header")
-        try:
-            header = json.loads(fh.read(head_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from None
-        payload = fh.read()
-    if not isinstance(header, dict):
-        raise CheckpointFormatError(f"{path}: header is not a JSON object")
-    missing = [k for k in ("config", "step", "tensors", "optimizer") if k not in header]
-    if missing:
-        raise CheckpointFormatError(f"{path}: header has no {', '.join(map(repr, missing))}")
-
-    config = DenoiserConfig.from_dict(header["config"])
-    specs = _tensor_specs(path, header["tensors"])
-    params: dict[str, Tensor] = {}
-    offset = 0
-
-    def take(shape, dt) -> np.ndarray:
-        nonlocal offset
-        count = math.prod(shape)  # exact: a corrupt shape must not wrap around
-        n_bytes = count * np.dtype(dt).itemsize
-        if offset + n_bytes > len(payload):
-            raise CheckpointFormatError(
-                f"{path}: payload truncated at byte {offset} (+{n_bytes} needed)"
-            )
-        arr = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape).copy()
-        offset += n_bytes
-        return arr
-
-    for name, shape, dt in specs:
-        params[name] = Tensor(take(shape, dt), requires_grad=True, dtype=np.dtype(dt).type)
-
-    opt_state = None
-    if header["optimizer"] is not None:
+        header = _read_header(fh.read(head_len), path, CheckpointFormatError,
+                              ("config", "step", "tensors", "optimizer"))
+        config = DenoiserConfig.from_dict(header["config"])
+        specs = _tensor_specs(path, header["tensors"])
         opt = header["optimizer"]
-        m, v = {}, {}
-        for name, shape, dt in specs:
-            m[name] = take(shape, dt)
-            v[name] = take(shape, dt)
+        layout = [(shape, dt) for _, shape, dt in specs]
+        if opt is not None:  # the first and second moment of each parameter
+            layout += [spec for spec in layout for _ in "mv"]
+        arrays = _read_payload(fh, layout, path, CheckpointFormatError)
+
+    names = [name for name, _, _ in specs]
+    params = {n: Tensor(a, requires_grad=True, dtype=a.dtype.type) for n, a in zip(names, arrays)}
+    opt_state = None
+    if opt is not None:
+        moments = arrays[len(names):]
         opt_state = {
-            "beta1": opt["beta1"], "beta2": opt["beta2"], "eps": opt["eps"],
-            "step": opt["step"], "m": m, "v": v,
+            "beta1": opt["beta1"], "beta2": opt["beta2"], "eps": opt["eps"], "step": opt["step"],
+            "m": dict(zip(names, moments[0::2])), "v": dict(zip(names, moments[1::2])),
         }
-    if offset != len(payload):
-        raise CheckpointFormatError(
-            f"{path}: {len(payload) - offset} unexplained trailing payload bytes"
-        )
     return Checkpoint(
         config=config, params=params, opt_state=opt_state,
         step=int(header["step"]), schedule=header.get("schedule"),

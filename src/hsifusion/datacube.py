@@ -10,6 +10,11 @@ A cube file is a two-line text header followed by the raw payload:
 
 The format is deliberately minimal: endian-pinned, lossless for 32-bit data,
 and byte-countable from the header alone.
+
+The checkpoint format shares the payload helpers: ``_read_header`` (a JSON
+object with named required keys), ``_read_payload`` (sizes the rest of the
+file against (shape, little-endian dtype) specs, then reads each array into
+place) and ``_write_payload`` (a byte view of each array in its dtype).
 """
 
 from __future__ import annotations
@@ -99,6 +104,45 @@ def _atomic_write_text(path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
+def _read_header(raw: bytes, path, error, required) -> dict:
+    """Decode a JSON object header holding every key in ``required``; any
+    failure raises the caller's ``error`` type."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise error(f"{path}: header is not a JSON object")
+    missing = [k for k in required if k not in header]
+    if missing:
+        raise error(f"{path}: header has no {', '.join(map(repr, missing))}")
+    return header
+
+
+def _read_payload(fh, specs, path, error) -> list[np.ndarray]:
+    """Read the rest of ``fh`` into one new array per (shape, little-endian
+    dtype) spec. The remaining file size must match the specs exactly, and is
+    checked before anything is allocated."""
+    sizes = [math.prod(shape) * np.dtype(dt).itemsize for shape, dt in specs]
+    expected = sum(sizes)  # exact: a corrupt shape must not wrap around
+    held = os.fstat(fh.fileno()).st_size - fh.tell()
+    if held != expected:
+        kind = "truncated" if held < expected else "trailing bytes"
+        raise error(f"{path}: payload holds {held} bytes, header implies {expected} ({kind})")
+    arrays = [np.empty(shape, dtype=dt) for shape, dt in specs]
+    for arr, n_bytes in zip(arrays, sizes):
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
+            raise error(f"{path}: payload truncated while being read")
+    return arrays
+
+
+def _write_payload(fh, arrays) -> None:
+    """Write each (array, little-endian dtype) pair as a byte view of the array
+    in that dtype; only an array held in another dtype or layout is copied."""
+    for arr, dt in arrays:
+        fh.write(np.ascontiguousarray(arr, dtype=dt).reshape(-1).view(np.uint8))
+
+
 def write_cube(path, cube: HsiCube) -> None:
     data = np.ascontiguousarray(cube.data, dtype="<f4")
     if not np.all(np.isfinite(data)):
@@ -116,7 +160,7 @@ def write_cube(path, cube: HsiCube) -> None:
     with _atomic_open(path) as fh:
         fh.write(MAGIC_LINE)
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(data.reshape(-1).view(np.uint8))  # a byte view, not a copy
+        _write_payload(fh, [(data, "<f4")])
 
 
 def read_cube(path) -> HsiCube:
@@ -124,13 +168,8 @@ def read_cube(path) -> HsiCube:
         magic = fh.readline()
         if magic != MAGIC_LINE:
             raise CubeFormatError(f"{path}: bad magic line {magic!r}")
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CubeFormatError(f"{path}: unreadable header: {exc}") from None
-        for req in ("bands", "height", "width", "dtype", "interleave", "value_range"):
-            if req not in header:
-                raise CubeFormatError(f"{path}: header missing field '{req}'")
+        header = _read_header(fh.readline(), path, CubeFormatError,
+                              ("bands", "height", "width", "dtype", "interleave", "value_range"))
         if header["dtype"] != "f32":
             raise CubeFormatError(f"{path}: unsupported dtype '{header['dtype']}'")
         if header["interleave"] != "band-sequential":
@@ -138,16 +177,7 @@ def read_cube(path) -> HsiCube:
         shape = (int(header["bands"]), int(header["height"]), int(header["width"]))
         if min(shape) < 0:
             raise CubeFormatError(f"{path}: negative size in header {shape}")
-        expected = math.prod(shape) * 4
-        # size the payload before allocating, then read it straight into place
-        held = os.fstat(fh.fileno()).st_size - fh.tell()
-        if held == expected:
-            data = np.empty(shape, dtype="<f4")
-            held = fh.readinto(data.reshape(-1).view(np.uint8))
-        if held != expected:
-            raise CubeFormatError(
-                f"{path}: payload holds {held} bytes, header implies {expected}"
-            )
+        [data] = _read_payload(fh, [(shape, "<f4")], path, CubeFormatError)
     if not np.all(np.isfinite(data)):
         raise CubeFormatError(f"{path}: payload contains non-finite values")
     return HsiCube(

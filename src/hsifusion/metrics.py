@@ -4,9 +4,10 @@ Every metric is computed after mapping both cubes to the 8-bit range
 [0, 255] with the reference cube's value range; conventions that vary in the
 literature (window size, scale factor, reduction) are fixed here and recorded
 in the report. One pass over the bands (``_band_pass``) feeds every metric: it
-converts one band pair at a time to 8-bit float64 and keeps per-band sums and
-SSIMs plus three per-pixel spectral dot products, so memory scales with a
-band, not the cube. The report and the public functions finish the same pass.
+converts one band pair at a time to 8-bit float64 and keeps per-band sums plus
+three per-pixel spectral dot products, so memory scales with a band, not the
+cube. The report and the public functions finish the same pass; only the two
+that read SSIM (``ssim`` and the report) pay for its window sums.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ SSIM_C2 = (0.03 * 255.0) ** 2
 class _BandStats:  # what the pass over the bands leaves for the metrics
     mses: np.ndarray  # per band: mean squared error
     means: np.ndarray  # per band: reference mean
-    ssims: np.ndarray | None  # per band: mean local SSIM; None below the window
+    ssims: np.ndarray | None  # per band: mean local SSIM; None unless asked for and fitting
     dots: np.ndarray  # (3, H, W): r*r, e*e and r*e per pixel, summed over bands
 
 
-def _band_pass(ref, est) -> _BandStats:
+def _band_pass(ref, est, with_ssim: bool = False) -> _BandStats:
     lo, hi = ref.value_range if isinstance(ref, HsiCube) else (0.0, 1.0)
     ref, est = as_cube_array(ref), as_cube_array(est)
     if ref.shape != est.shape:
@@ -42,7 +43,7 @@ def _band_pass(ref, est) -> _BandStats:
     k = SSIM_WINDOW
     scale = 255.0 / (hi - lo)
     s = _BandStats(np.empty(bands), np.empty(bands),
-                   np.empty(bands) if h >= k and w >= k else None,
+                   np.empty(bands) if with_ssim and h >= k and w >= k else None,
                    np.zeros((3, h, w)))
     for b in range(bands):
         r = (ref[b].astype(np.float64) - lo) * scale
@@ -133,7 +134,7 @@ def _ergas(s: _BandStats, scale: int) -> float:
 
 def ssim(ref, est) -> float:
     """Mean local SSIM with a uniform 8x8 window, averaged over bands."""
-    return _ssim(_band_pass(ref, est))
+    return _ssim(_band_pass(ref, est, with_ssim=True))
 
 
 def _ssim(s: _BandStats) -> float:
@@ -156,7 +157,7 @@ class FusionReport:
     per_image: list[dict] = field(default_factory=list)
 
     def add(self, name: str, ref, est) -> dict:
-        s = _band_pass(ref, est)  # once for every metric
+        s = _band_pass(ref, est, with_ssim=True)  # once for every metric
         angle, skipped = _sam(s)
         row = {
             "name": name,

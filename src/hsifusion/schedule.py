@@ -8,6 +8,7 @@ coefficients need no special-casing at t = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +25,6 @@ class NoiseSchedule:
     betas: np.ndarray
     alpha_bars: np.ndarray = field(init=False)
     one_minus_alpha_bars: np.ndarray = field(init=False)
-    posterior_vars: np.ndarray = field(init=False)
-    posterior_coef_xt: np.ndarray = field(init=False)
-    posterior_coef_x0: np.ndarray = field(init=False)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64)
@@ -45,15 +43,6 @@ class NoiseSchedule:
         # subtracting ab_t from 1 directly would cancel badly for small t
         om = np.concatenate([[0.0], np.cumsum(betas * alpha_bars[:-1])])
         object.__setattr__(self, "one_minus_alpha_bars", om)
-
-        prev_ab = alpha_bars[:-1]
-        prev_om = om[:-1]
-        curr_om = om[1:]
-        object.__setattr__(self, "posterior_vars", prev_om / curr_om * betas)
-        object.__setattr__(
-            self, "posterior_coef_xt", np.sqrt(1.0 - betas) * prev_om / curr_om
-        )
-        object.__setattr__(self, "posterior_coef_x0", np.sqrt(prev_ab) * betas / curr_om)
 
     def _check_t(self, t: int) -> None:
         if not 1 <= t <= self.T:
@@ -100,9 +89,10 @@ def posterior_coeffs(sched: NoiseSchedule, t: int) -> tuple[float, float, float]
     posterior collapses onto x_0: (0, 1, 0).
     """
     sched._check_t(t)
-    i = t - 1
+    beta = float(sched.betas[t - 1])
+    prev_om, om = (float(v) for v in sched.one_minus_alpha_bars[t - 1:t + 1])
     return (
-        float(sched.posterior_coef_xt[i]),
-        float(sched.posterior_coef_x0[i]),
-        float(sched.posterior_vars[i]),
+        math.sqrt(1.0 - beta) * prev_om / om,
+        math.sqrt(float(sched.alpha_bars[t - 1])) * beta / om,
+        prev_om / om * beta,
     )

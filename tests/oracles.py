@@ -92,6 +92,17 @@ def bayes_posterior_1d(beta1: float, beta2: float, x2: float, x0: float):
     return mean, 1.0 / prec
 
 
+def posterior_coeffs_vectorised(betas, alpha_bars, one_minus_alpha_bars):
+    """(coef_xt, coef_x0, var) arrays over t = 1..T by whole-array formulas;
+    ``posterior_coeffs`` must match them bit for bit at every t."""
+    prev_om, curr_om = one_minus_alpha_bars[:-1], one_minus_alpha_bars[1:]
+    return (
+        np.sqrt(1.0 - betas) * prev_om / curr_om,
+        np.sqrt(alpha_bars[:-1]) * betas / curr_om,
+        prev_om / curr_om * betas,
+    )
+
+
 def sam_loops(ref: np.ndarray, est: np.ndarray) -> float:
     """Spectral angle via explicit per-pixel loops (radians)."""
     bands, h, w = ref.shape

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hsifusion.autodiff import Tensor
 from hsifusion.checkpoint import (
     FORMAT_VERSION,
     CheckpointFormatError,
@@ -70,6 +72,65 @@ class TestRoundTrip:
         ckpt = load_checkpoint(path)
         assert ckpt.opt_state is None
         assert sorted(ckpt.params) == sorted(params)
+
+    def test_zero_size_tensor(self, setup):
+        cfg, params, opt, path = setup
+        empty = np.zeros((4, 0, 3), dtype=np.float32)
+        params = dict(params, empty=Tensor(empty, requires_grad=True))
+        state = dict(opt.to_dict(), m=dict(opt.m, empty=empty), v=dict(opt.v, empty=empty))
+        save_checkpoint(path, cfg, params, state, step=1)
+        ckpt = load_checkpoint(path)
+        assert ckpt.params["empty"].shape == ckpt.opt_state["v"]["empty"].shape == (4, 0, 3)
+        for name in params:
+            assert np.array_equal(ckpt.params[name].data, params[name].data)
+            assert np.array_equal(ckpt.opt_state["m"][name], state["m"][name])
+
+
+class TestMomentDtypes:
+    # the manifest records each parameter's dtype, which its moments share
+    def test_big_endian_moments_round_trip(self, setup):
+        cfg, params, opt, path = setup
+        state = dict(opt.to_dict(), m={n: a.astype(">f4") for n, a in opt.m.items()})
+        save_checkpoint(path, cfg, params, state, step=2)
+        back = load_checkpoint(path).opt_state
+        for name in params:
+            assert back["m"][name].dtype == params[name].data.dtype
+            assert np.array_equal(back["m"][name], opt.m[name])
+
+    def test_wider_moment_refused_without_a_file(self, setup):
+        cfg, params, opt, path = setup
+        name = sorted(params)[1]
+        state = dict(opt.to_dict(), v=dict(opt.v, **{name: opt.v[name].astype(np.float64)}))
+        with pytest.raises(ValueError, match=f"moment 'v' of '{re.escape(name)}' is <f8"):
+            save_checkpoint(path, cfg, params, state, step=2)
+        assert list(path.parent.iterdir()) == []
+
+
+class TestMemory:
+    @pytest.fixture
+    def adam_setup(self, rng, tmp_path):
+        cfg = DenoiserConfig(bands=4, msi_bands=2, scale=2, base_channels=32,
+                             channel_multipliers=(1, 2), attention_levels=(),
+                             time_embed_dim=32, groups=8)
+        params = init_params(cfg, rng)
+        payload = 3 * sum(p.data.nbytes for p in params.values())  # weights, m and v
+        return cfg, params, AdamState.for_params(params).to_dict(), tmp_path / "a.ckpt", payload
+
+    def test_save_writes_the_arrays_without_copying(self, adam_setup, peak_alloc):
+        # 1.0 payloads when every tensor was copied to bytes first
+        cfg, params, state, path, payload = adam_setup
+        with peak_alloc() as mem:
+            save_checkpoint(path, cfg, params, state, step=1)
+        assert mem.peak <= 0.1 * payload, f"{mem.peak / payload:.2f} payloads"
+
+    def test_load_reads_the_payload_into_place(self, adam_setup, peak_alloc):
+        # 2.0 payloads when the payload was read whole and each tensor copied out
+        cfg, params, state, path, payload = adam_setup
+        save_checkpoint(path, cfg, params, state, step=1)
+        with peak_alloc() as mem:
+            ckpt = load_checkpoint(path)
+        assert mem.peak <= 1.2 * payload, f"{mem.peak / payload:.2f} payloads"
+        assert ckpt.opt_state is not None
 
 
 # a corruption of the header's tensor manifest, and the error it must raise

@@ -100,6 +100,18 @@ class TestEval:
         assert row["ssim"] == 1.0
         assert (tmp / "ideal.json.bands.tsv").exists()
 
+    def test_header_not_an_object_reported(self, workspace, capsys):
+        tmp, gt, srf, cube = workspace
+        bad = tmp / "bad.hsic"
+        bad.write_bytes(b"HSICUBE 1\n5\n")
+        capsys.readouterr()
+        rc = main(["eval", "--ref", str(gt), "--est", str(bad), "--scale", "4",
+                   "--report", str(tmp / "bad.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "header is not a JSON object" in err
+        assert not (tmp / "bad.json").exists()
+
 
 class TestFuse:
     def test_fuse_writes_cube_and_is_deterministic(self, workspace, rng):

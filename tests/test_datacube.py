@@ -42,6 +42,12 @@ class TestRoundTrip:
         assert back.value_range == cube.value_range
         assert back.wavelengths_nm == cube.wavelengths_nm
 
+    def test_zero_size_dimension(self, tmp_path):
+        p = tmp_path / "empty.hsic"
+        write_cube(p, HsiCube(np.zeros((3, 0, 5), dtype=np.float32)))
+        back = read_cube(p)
+        assert back.data.shape == (3, 0, 5) and back.data.dtype == np.float32
+
     def test_full_scene_payload_size(self, tmp_path):
         cube = HsiCube(np.zeros((31, 512, 512), dtype=np.float32))
         p = tmp_path / "big.hsic"
@@ -65,6 +71,18 @@ class TestValidation:
         raw = p.read_bytes()
         p.write_bytes(raw[:-8])
         with pytest.raises(CubeFormatError, match=r"64.*72|holds 64"):
+            read_cube(p)
+
+    def test_trailing_payload_bytes_reported(self, tmp_path, rng):
+        p = self._write_valid(tmp_path, rng)
+        p.write_bytes(p.read_bytes() + b"\x00" * 4)
+        with pytest.raises(CubeFormatError, match=r"holds 76 bytes, header implies 72 \(trailing"):
+            read_cube(p)
+
+    def test_header_not_an_object(self, tmp_path):
+        p = tmp_path / "bad.hsic"
+        p.write_bytes(b"HSICUBE 1\n5\n")
+        with pytest.raises(CubeFormatError, match="header is not a JSON object"):
             read_cube(p)
 
     def test_bad_magic(self, tmp_path, rng):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hsifusion.metrics
 from hsifusion.datacube import HsiCube
 from hsifusion.metrics import FusionReport, band_rmse, ergas, psnr, sam, sam_detailed, ssim
 
@@ -182,6 +183,25 @@ class TestFusionReport:
         assert row == want
         assert (len(caught) == 2) == (case == "zero_mean_band")  # add and ergas warn
         assert (skipped > 0) == (case == "zero_norm_pixels")
+
+    def test_only_ssim_readers_run_the_windows(self, rng, monkeypatch):
+        calls = []
+        window_means = hsifusion.metrics._window_means
+
+        def counting(img, k):
+            calls.append(k)
+            return window_means(img, k)
+
+        monkeypatch.setattr(hsifusion.metrics, "_window_means", counting)
+        ref = cube(rng.uniform(10, 245, size=(3, 12, 12)))
+        est = cube(ref.data + rng.normal(size=ref.data.shape).astype(np.float32))
+        for metric in (psnr, sam, sam_detailed, band_rmse, lambda r, e: ergas(r, e, 4)):
+            metric(ref, est)
+        assert calls == []
+        ssim(ref, est)
+        assert len(calls) == 5 * 3  # two means, two variances and a covariance per band
+        FusionReport(scale=4).add("x", ref, est)
+        assert len(calls) == 2 * 5 * 3
 
     @pytest.mark.parametrize("case", ["plain", "zero_mean_band", "zero_norm_pixels"])
     def test_row_matches_whole_cube_oracle(self, rng, case):

@@ -3,7 +3,7 @@ import pytest
 
 from hsifusion.schedule import NoiseSchedule, linear_schedule, marginal_coeffs, posterior_coeffs
 
-from oracles import bayes_posterior_1d
+from oracles import bayes_posterior_1d, posterior_coeffs_vectorised
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,13 @@ class TestPosteriorCoeffs:
         with pytest.raises(IndexError):
             posterior_coeffs(sched2000, 2001)
 
+    @pytest.mark.parametrize("T, beta_end", [(2000, 0.01), (1000, 0.01), (200, 0.05), (7, 0.3)])
+    def test_bit_identical_to_vectorised_formulas(self, T, beta_end):
+        s = linear_schedule(T, beta_end)
+        want = posterior_coeffs_vectorised(s.betas, s.alpha_bars, s.one_minus_alpha_bars)
+        for t in range(1, T + 1):
+            assert posterior_coeffs(s, t) == tuple(float(w[t - 1]) for w in want), t
+
 
 class TestInvariants:
     def test_alpha_bar_recurrence_exact(self, sched2000):
@@ -113,8 +120,9 @@ class TestInvariants:
             assert om[t] == om[t - 1] + sched2000.betas[t - 1] * ab[t - 1]
 
     def test_posterior_variance_bounded_by_beta(self, sched2000):
-        assert np.all(sched2000.posterior_vars >= 0)
-        assert np.all(sched2000.posterior_vars <= sched2000.betas)
+        var = np.array([posterior_coeffs(sched2000, t)[2] for t in range(1, 2001)])
+        assert np.all(var >= 0)
+        assert np.all(var <= sched2000.betas)
 
     def test_alpha_bar_strictly_decreasing(self, sched2000):
         assert np.all(np.diff(sched2000.alpha_bars) < 0)
@@ -127,4 +135,5 @@ class TestInvariants:
             assert np.all(s.betas > 0) and np.all(s.betas < 1)
             assert np.all(np.diff(s.betas) >= 0)
             assert s.alpha_bars[0] == 1.0
-            assert np.all(s.posterior_vars <= s.betas + 1e-15)
+            var = np.array([posterior_coeffs(s, t)[2] for t in range(1, T + 1)])
+            assert np.all(var <= s.betas + 1e-15)
