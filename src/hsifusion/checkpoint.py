@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .datacube import _atomic_open, _read_header, _read_payload, _write_payload
+from .datacube import _atomic_open, _check_fields, _read_header, _read_payload, _write_payload
 from .denoiser import DenoiserConfig
 
 MAGIC = b"HSIFCKPT"
@@ -111,12 +111,14 @@ def load_checkpoint(path) -> Checkpoint:
         if head_len > os.fstat(fh.fileno()).st_size - 20:
             raise CheckpointFormatError(f"{path}: file ends inside the {head_len}-byte header")
         header = _read_header(fh.read(head_len), path, CheckpointFormatError,
-                              ("config", "step", "tensors", "optimizer"))
+                              ("config", "tensors", "optimizer"), counts=("step",))
         config = DenoiserConfig.from_dict(header["config"])
         specs = _tensor_specs(path, header["tensors"])
         opt = header["optimizer"]
         layout = [(shape, dt) for _, shape, dt in specs]
         if opt is not None:  # the first and second moment of each parameter
+            _check_fields(opt, f"{path}: header 'optimizer'", CheckpointFormatError,
+                          counts=("step",), numbers=("beta1", "beta2", "eps"))
             layout += [spec for spec in layout for _ in "mv"]
         arrays = _read_payload(fh, layout, path, CheckpointFormatError)
 
@@ -131,7 +133,7 @@ def load_checkpoint(path) -> Checkpoint:
         }
     return Checkpoint(
         config=config, params=params, opt_state=opt_state,
-        step=int(header["step"]), schedule=header.get("schedule"),
+        step=header["step"], schedule=header.get("schedule"),
     )
 
 
@@ -142,11 +144,7 @@ def _tensor_specs(path, entries) -> list[tuple[str, tuple[int, ...], str]]:
     specs, seen = [], set()
     for i, spec in enumerate(entries):
         where = f"{path}: tensor entry {i}"
-        if not isinstance(spec, dict):
-            raise CheckpointFormatError(f"{where} is not a JSON object")
-        missing = [k for k in ("name", "shape", "dtype") if k not in spec]
-        if missing:
-            raise CheckpointFormatError(f"{where} has no {', '.join(map(repr, missing))}")
+        _check_fields(spec, where, CheckpointFormatError, ("name", "shape", "dtype"))
         name, shape, tag = spec["name"], spec["shape"], spec["dtype"]
         if not isinstance(name, str):
             raise CheckpointFormatError(f"{where} has name {name!r}, not a string")

@@ -12,7 +12,7 @@ The format is deliberately minimal: endian-pinned, lossless for 32-bit data,
 and byte-countable from the header alone.
 
 The checkpoint format shares the payload helpers: ``_read_header`` (a JSON
-object with named required keys), ``_read_payload`` (sizes the rest of the
+object with typed required keys), ``_read_payload`` (sizes the rest of the
 file against (shape, little-endian dtype) specs, then reads each array into
 place) and ``_write_payload`` (a byte view of each array in its dtype).
 """
@@ -104,19 +104,31 @@ def _atomic_write_text(path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def _read_header(raw: bytes, path, error, required) -> dict:
-    """Decode a JSON object header holding every key in ``required``; any
-    failure raises the caller's ``error`` type."""
+def _read_header(raw: bytes, path, error, required, counts=()) -> dict:
+    """Decode a JSON header and check it with ``_check_fields``; any failure
+    raises the caller's ``error`` type."""
     try:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"{path}: unreadable header: {exc}") from None
-    if not isinstance(header, dict):
-        raise error(f"{path}: header is not a JSON object")
-    missing = [k for k in required if k not in header]
+    return _check_fields(header, f"{path}: header", error, required, counts)
+
+
+def _check_fields(obj, where, error, required=(), counts=(), numbers=()) -> dict:
+    """Check that ``obj`` is a JSON object with every key of ``required``, a
+    non-negative int under each of ``counts`` and an int or float under each
+    of ``numbers`` (never a bool); else raise ``error`` naming ``where``."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} is not a JSON object")
+    missing = [k for k in (*required, *counts, *numbers) if k not in obj]
     if missing:
-        raise error(f"{path}: header has no {', '.join(map(repr, missing))}")
-    return header
+        raise error(f"{where} has no {', '.join(map(repr, missing))}")
+    for keys, what, ok in ((counts, "a non-negative integer", lambda v: type(v) is int and v >= 0),
+                           (numbers, "a number", lambda v: type(v) in (int, float))):
+        for k in keys:
+            if not ok(obj[k]):
+                raise error(f"{where} has {k!r} {obj[k]!r}, not {what}")
+    return obj
 
 
 def _read_payload(fh, specs, path, error) -> list[np.ndarray]:
@@ -169,14 +181,12 @@ def read_cube(path) -> HsiCube:
         if magic != MAGIC_LINE:
             raise CubeFormatError(f"{path}: bad magic line {magic!r}")
         header = _read_header(fh.readline(), path, CubeFormatError,
-                              ("bands", "height", "width", "dtype", "interleave", "value_range"))
-        if header["dtype"] != "f32":
-            raise CubeFormatError(f"{path}: unsupported dtype '{header['dtype']}'")
-        if header["interleave"] != "band-sequential":
-            raise CubeFormatError(f"{path}: unsupported interleave '{header['interleave']}'")
-        shape = (int(header["bands"]), int(header["height"]), int(header["width"]))
-        if min(shape) < 0:
-            raise CubeFormatError(f"{path}: negative size in header {shape}")
+                              ("dtype", "interleave", "value_range"),
+                              counts=("bands", "height", "width"))
+        for key, wanted in (("dtype", "f32"), ("interleave", "band-sequential")):
+            if header[key] != wanted:
+                raise CubeFormatError(f"{path}: unsupported {key} '{header[key]}'")
+        shape = (header["bands"], header["height"], header["width"])
         [data] = _read_payload(fh, [(shape, "<f4")], path, CubeFormatError)
     if not np.all(np.isfinite(data)):
         raise CubeFormatError(f"{path}: payload contains non-finite values")

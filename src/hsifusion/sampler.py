@@ -3,7 +3,9 @@
 A fused image starts as pure Gaussian noise at the few-band image's
 resolution and is denoised over a sub-sequence of timesteps, conditioning on
 the two observed images at every step. With sigma = 0 the update is
-deterministic given the initial noise.
+deterministic given the initial noise. Fusion runs step-major: every tile (or
+the one whole-scene window) takes a step before any takes the next, and each
+step's noise field is drawn only when that step runs.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ def ddim_step(
     Reconstructs x0_hat = (x_t - sqrt(1-ab_t) * eps_hat) / sqrt(ab_t), then
     moves to sqrt(ab_prev) * x0_hat + sqrt(1 - ab_prev - sigma^2) * eps_hat
     plus sigma * noise. The final transition (t_prev = 0) is noise-free.
+    ``eps_hat`` and ``noise`` must have the shape of ``xt``.
     """
     if not 0 <= t_prev < t <= sched.T:
         raise ValueError(f"need 0 <= t_prev < t <= T, got t={t}, t_prev={t_prev}")
@@ -96,6 +99,9 @@ def ddim_step(
 
     xt = np.asarray(xt)
     eps_hat = np.asarray(eps_hat)
+    for label, arr in (("eps_hat", eps_hat), ("noise", noise)):
+        if arr is not None and np.shape(arr) != xt.shape:
+            raise ValueError(f"{label} has shape {np.shape(arr)}, x_t has {xt.shape}")
     x0_hat = (xt - math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(ab_t)
     out = math.sqrt(ab_prev) * x0_hat
     direction = math.sqrt(max(1.0 - ab_prev - sigma**2, 0.0))
@@ -123,11 +129,13 @@ def fuse(
     """Run the reverse process on an observed pair and return the fused cube.
 
     ``tile`` switches to overlapping-tile fusion (feather-blended) for scenes
-    too large to denoise whole; noise fields are drawn once for the whole
-    scene so tiling does not change the per-pixel initialization. A network
-    that predicts x0 (``cfg.prediction == "x0"``) has its output turned into
-    the implied noise before each DDIM step. Output values are clamped to
-    [0, 1].
+    too large to denoise whole. Fusion is step-major: each tile keeps a state
+    and all take DDIM step i before step i+1. Noise fields cover the whole
+    scene, so tiling does not change the per-pixel noise; each step's field
+    is drawn when the step runs, so memory does not grow with the step count.
+    A network that predicts x0 (``cfg.prediction == "x0"``) has its output
+    turned into the implied noise before each DDIM step. Output values are
+    clamped to [0, 1].
 
     The network runs on constant views of ``params``, so inference records
     no tape and the caller's tensors are left as they are. Non-finite values
@@ -140,6 +148,8 @@ def fuse(
         raise ValueError(
             f"need 1 <= tile_stride <= tile, got tile={tile}, tile_stride={tile_stride}"
         )
+    if tile is not None and tile % 2 ** (cfg.levels - 1):
+        raise ValueError(f"tile {tile} not divisible by 2^(levels-1)")
     y_arr = as_cube_array(y)
     z_arr = as_cube_array(z)
     for label, arr in (("y", y_arr), ("z", z_arr)):
@@ -159,24 +169,37 @@ def fuse(
     # zero-copy constants: no network evaluation below records a tape
     params = {n: Tensor(p.data, dtype=p.data.dtype.type) for n, p in params.items()}
     rng = np.random.default_rng(rng_seed)
-    dtype = np.float32
-    x_init = rng.normal(size=(cfg.bands, H, W)).astype(dtype)
-    step_noise = None
-    if sigma_mode != "zero":
-        step_noise = [
-            rng.normal(size=(cfg.bands, H, W)).astype(dtype) for _ in range(len(tau) - 1)
-        ]
-
+    shape = (cfg.bands, H, W)
+    windows = [np.s_[:, :, :]] if tile is None else [
+        np.s_[:, r:r + tile, c:c + tile] for r in _tile_starts(H, tile, tile_stride)
+        for c in _tile_starts(W, tile, tile_stride)]
+    # one state per tile; crops are copied so that x_init is freed here, while
+    # the single whole-scene window is contiguous already and stays a view
+    x_init = _normal_field(rng, shape)
+    states = [np.ascontiguousarray(x_init[sl]) for sl in windows]
+    del x_init
     # condition channels once at full resolution; tiles crop consistently
-    y_up = bicubic_upsample(as_tensor(y_arr.astype(dtype)), cfg.scale).data
-    z_arr = z_arr.astype(dtype)
+    y_up = bicubic_upsample(as_tensor(y_arr.astype(np.float32)), cfg.scale).data
+    z_arr = z_arr.astype(np.float32)
+    steps = tau.steps[::-1]
+    for i, t in enumerate(steps):
+        t_prev = steps[i + 1] if i + 1 < len(steps) else 0
+        sigma = ddim_sigma(sched, t, t_prev, sigma_mode)
+        field = _normal_field(rng, shape) if sigma_mode != "zero" and t_prev > 0 else None
+        for k, sl in enumerate(windows):
+            x = states[k]
+            cond = concat_channels([as_tensor(x), as_tensor(z_arr[sl]), as_tensor(y_up[sl])])
+            eps_hat = predict_noise(params, cfg, cond, t).data
+            if not np.isfinite(eps_hat).all():
+                raise ValueError(f"network output is non-finite at DDIM step t={t}")
+            if cfg.prediction == "x0":
+                eps_hat = eps_from_x0(x, eps_hat, t, sched)
+            states[k] = ddim_step(x, eps_hat, t, t_prev, sigma, sched,
+                                  noise=None if field is None else field[sl])
+        del field  # before the next step draws its own
+    del y_up, z_arr
 
-    if tile is None:
-        fused = _fuse_field(params, cfg, sched, z_arr, y_up, x_init, tau,
-                            sigma_mode, step_noise)
-    else:
-        fused = _fuse_tiled(params, cfg, sched, z_arr, y_up, x_init, tau,
-                            sigma_mode, step_noise, tile, tile_stride)
+    fused = states.pop() if tile is None else _blend(states, windows, shape, tile, tile_stride)
     # clip in place and cast without a copy when already float32: the
     # tiled blend is a float64 scene, so each temporary would be 2 cubes
     fused = np.clip(fused, 0.0, 1.0, out=fused).astype(np.float32, copy=False)
@@ -184,61 +207,29 @@ def fuse(
     return HsiCube(fused, value_range=(0.0, 1.0), name=name)
 
 
-def _fuse_field(params, cfg, sched, z_arr, y_up, x_init, tau, sigma_mode, step_noise):
-    steps = list(tau.steps)[::-1]
-    x = x_init
-    for i, t in enumerate(steps):
-        t_prev = steps[i + 1] if i + 1 < len(steps) else 0
-        cond = concat_channels([as_tensor(x), as_tensor(z_arr), as_tensor(y_up)])
-        eps_hat = predict_noise(params, cfg, cond, t).data
-        if not np.isfinite(eps_hat).all():
-            raise ValueError(f"network output is non-finite at DDIM step t={t}")
-        if cfg.prediction == "x0":
-            eps_hat = eps_from_x0(x, eps_hat, t, sched)
-        sigma = ddim_sigma(sched, t, t_prev, sigma_mode)
-        noise = step_noise[i] if step_noise is not None and t_prev > 0 else None
-        x = ddim_step(x, eps_hat, t, t_prev, sigma, sched, noise=noise)
-    return x
+def _normal_field(rng: np.random.Generator, shape) -> np.ndarray:
+    """``rng.normal(size=shape).astype(np.float32)`` with the same values, as the
+    generator fills C order, but drawn a band at a time: no float64 cube."""
+    out = np.empty(shape, dtype=np.float32)
+    for band in out:
+        band[...] = rng.normal(size=band.shape)
+    return out
 
 
 def _tile_starts(extent: int, tile: int, stride: int) -> list[int]:
-    if extent <= tile:
-        return [0]
-    starts = list(range(0, extent - tile, stride))
-    starts.append(extent - tile)
-    return starts
+    return [*range(0, extent - tile, stride), max(extent - tile, 0)]
 
 
-def _feather(tile: int, overlap: int) -> np.ndarray:
-    w = np.ones(tile, dtype=np.float64)
-    if overlap > 0:
-        ramp = np.arange(1, overlap + 1) / (overlap + 1.0)
-        w[:overlap] = np.minimum(w[:overlap], ramp)
-        w[-overlap:] = np.minimum(w[-overlap:], ramp[::-1])
-    return w
-
-
-def _fuse_tiled(params, cfg, sched, z_arr, y_up, x_init, tau, sigma_mode,
-                step_noise, tile, stride):
-    if tile % 2 ** (cfg.levels - 1):
-        raise ValueError(f"tile {tile} not divisible by 2^(levels-1)")
-    H, W = z_arr.shape[1:]
-    overlap = tile - stride
-    win = _feather(tile, overlap)
-    acc = np.zeros((cfg.bands, H, W), dtype=np.float64)
-    weight = np.zeros((H, W), dtype=np.float64)
-    for r in _tile_starts(H, tile, stride):
-        for c in _tile_starts(W, tile, stride):
-            sl = np.s_[:, r:r + tile, c:c + tile]
-            noise_crop = None
-            if step_noise is not None:
-                noise_crop = [n[sl] for n in step_noise]
-            patch = _fuse_field(
-                params, cfg, sched, z_arr[sl], y_up[sl], x_init[sl], tau,
-                sigma_mode, noise_crop,
-            )
-            w2d = np.outer(win[:patch.shape[1]], win[:patch.shape[2]])
-            acc[sl] += patch * w2d
-            weight[r:r + tile, c:c + tile] += w2d
+def _blend(states, windows, shape, tile, stride) -> np.ndarray:
+    """Feathered float64 mean of the tile states in tile order; empties ``states``."""
+    i = np.arange(tile)  # weights ramp up and down over the tile - stride overlap
+    win = np.minimum(1.0, np.minimum(i + 1, tile - i) / (tile - stride + 1.0))
+    acc = np.zeros(shape, dtype=np.float64)
+    weight = np.zeros(shape[1:], dtype=np.float64)
+    for sl in windows:
+        patch = states.pop(0)
+        w2d = np.outer(win[:patch.shape[1]], win[:patch.shape[2]])
+        acc[sl] += patch * w2d
+        weight[sl[1:]] += w2d
     acc /= np.maximum(weight, 1e-12)
     return acc

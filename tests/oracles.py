@@ -2,13 +2,20 @@
 
 Everything here is deliberately naive (elementwise loops, brute-force Bayes,
 finite differences) and shares no code with the implementation under test.
+``fuse_tile_major`` is the one exception: it reuses the network and the DDIM
+update, and is independent only in its loop order, noise draws and blend.
 """
 
 import math
 
 import numpy as np
 
-from hsifusion.autodiff import Tensor, backward
+from hsifusion.autodiff import Tensor, as_tensor, backward
+from hsifusion.datacube import as_cube_array
+from hsifusion.denoiser import predict_noise
+from hsifusion.diffusion import eps_from_x0
+from hsifusion.ops import bicubic_upsample, concat_channels
+from hsifusion.sampler import ddim_sigma, ddim_step
 
 FD_STEP = 1e-4
 
@@ -196,3 +203,57 @@ def report_whole_cube(ref: np.ndarray, est: np.ndarray, lo: float, hi: float,
         "ergas": ergas, "ssim": float(np.mean(ssims)),
         "band_rmse": [float(v) for v in np.sqrt(mses)],
     }
+
+
+def fuse_tile_major(params, cfg, sched, y, z, tau, sigma_mode="zero", rng_seed=0,
+                    tile=None, tile_stride=48) -> np.ndarray:
+    """Fused array of ``sampler.fuse``, computed tile-major: every noise field
+    drawn up front as a whole float64 cube, each tile taken through all DDIM
+    steps before the next tile starts, and blended as soon as it is done."""
+    params = {n: Tensor(p.data, dtype=p.data.dtype.type) for n, p in params.items()}
+    y_arr, z_arr = as_cube_array(y), as_cube_array(z).astype(np.float32)
+    shape = (cfg.bands,) + z_arr.shape[1:]
+    rng = np.random.default_rng(rng_seed)
+    x_init = rng.normal(size=shape).astype(np.float32)
+    step_noise = [rng.normal(size=shape).astype(np.float32) for _ in range(len(tau) - 1)
+                  if sigma_mode != "zero"]
+    y_up = bicubic_upsample(as_tensor(y_arr.astype(np.float32)), cfg.scale).data
+    steps = list(tau.steps)[::-1]
+
+    def run_tile(sl):
+        x = x_init[sl]
+        for i, t in enumerate(steps):
+            t_prev = steps[i + 1] if i + 1 < len(steps) else 0
+            cond = concat_channels([as_tensor(x), as_tensor(z_arr[sl]), as_tensor(y_up[sl])])
+            eps_hat = predict_noise(params, cfg, cond, t).data
+            if cfg.prediction == "x0":
+                eps_hat = eps_from_x0(x, eps_hat, t, sched)
+            noise = step_noise[i][sl] if step_noise and t_prev > 0 else None
+            x = ddim_step(x, eps_hat, t, t_prev, ddim_sigma(sched, t, t_prev, sigma_mode),
+                          sched, noise=noise)
+        return x
+
+    if tile is None:
+        return np.clip(run_tile(np.s_[:, :, :]), 0.0, 1.0)
+
+    def starts(extent):
+        if extent <= tile:
+            return [0]
+        return list(range(0, extent - tile, tile_stride)) + [extent - tile]
+
+    overlap = tile - tile_stride
+    win = np.ones(tile)
+    for i in range(overlap):
+        ramp = (i + 1) / (overlap + 1.0)
+        win[i] = min(win[i], ramp)
+        win[tile - 1 - i] = min(win[tile - 1 - i], ramp)
+    acc = np.zeros(shape)
+    weight = np.zeros(shape[1:])
+    for r in starts(shape[1]):
+        for c in starts(shape[2]):
+            sl = np.s_[:, r:r + tile, c:c + tile]
+            patch = run_tile(sl)
+            w2d = np.outer(win[:patch.shape[1]], win[:patch.shape[2]])
+            acc[sl] += patch * w2d
+            weight[r:r + tile, c:c + tile] += w2d
+    return np.clip(acc / np.maximum(weight, 1e-12), 0.0, 1.0).astype(np.float32)

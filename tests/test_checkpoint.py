@@ -155,6 +155,30 @@ _MANIFEST_EDITS = {
                        r"entry 1 \('.+'\) repeats an earlier entry's name"),
 }
 
+# a corruption of the optimizer section or the step count, and its error
+_OPTIMIZER_EDITS = {
+    "optimizer-not-object": (lambda h: h.update(optimizer=[0.9, 0.999]),
+                             "header 'optimizer' is not a JSON object"),
+    "no-beta1": (lambda h: h["optimizer"].pop("beta1"), "'optimizer' has no 'beta1'"),
+    "no-beta2-or-eps": (lambda h: [h["optimizer"].pop(k) for k in ("beta2", "eps")],
+                        "'optimizer' has no 'beta2', 'eps'"),
+    "no-step": (lambda h: h["optimizer"].pop("step"), "'optimizer' has no 'step'"),
+    "eps-null": (lambda h: h["optimizer"].update(eps=None),
+                 "'optimizer' has 'eps' None, not a number"),
+    "beta1-bool": (lambda h: h["optimizer"].update(beta1=True),
+                   "'optimizer' has 'beta1' True, not a number"),
+    "beta2-string": (lambda h: h["optimizer"].update(beta2="0.999"),
+                     "'optimizer' has 'beta2' '0.999', not a number"),
+    "optimizer-step-fractional": (lambda h: h["optimizer"].update(step=2.5),
+                                  "'optimizer' has 'step' 2.5, not a non-negative integer"),
+    "optimizer-step-negative": (lambda h: h["optimizer"].update(step=-1),
+                                "'optimizer' has 'step' -1, not a non-negative integer"),
+    "step-null": (lambda h: h.update(step=None),
+                  "header has 'step' None, not a non-negative integer"),
+    "step-string": (lambda h: h.update(step="42"),
+                    "header has 'step' '42', not a non-negative integer"),
+}
+
 
 class TestValidation:
     def test_tampered_magic(self, setup):
@@ -227,6 +251,27 @@ class TestValidation:
         _with_header(path, header)
         with pytest.raises(CheckpointFormatError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(_OPTIMIZER_EDITS))
+    def test_malformed_optimizer_or_step_named(self, setup, case):
+        cfg, params, opt, path = setup
+        save_checkpoint(path, cfg, params, opt.to_dict(), step=42)
+        header = _header(path)
+        edit, message = _OPTIMIZER_EDITS[case]
+        edit(header)
+        _with_header(path, header)
+        with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    def test_integral_optimizer_numbers_load(self, setup):
+        # JSON writes 0 for a zero eps; an int is a number as much as a float
+        cfg, params, opt, path = setup
+        save_checkpoint(path, cfg, params, opt.to_dict(), step=0)
+        header = _header(path)
+        header["optimizer"].update(eps=0, beta1=1)
+        _with_header(path, header)
+        ckpt = load_checkpoint(path)
+        assert (ckpt.step, ckpt.opt_state["eps"], ckpt.opt_state["beta1"]) == (0, 0, 1)
 
     def test_trailing_bytes_rejected(self, setup):
         cfg, params, _, path = setup

@@ -11,6 +11,7 @@ from hsifusion.datacube import HsiCube, read_cube, write_cube
 from hsifusion.degrade import ObservationModel, spatial_degrade, uniform_band_groups
 from hsifusion.denoiser import DenoiserConfig, init_params
 from hsifusion.synthetic import make_toy_dataset, observed_triples
+from hsifusion.trainer import AdamState
 
 
 BANDS, SIZE, SCALE = 4, 32, 4
@@ -28,13 +29,14 @@ def workspace(tmp_path, rng):
     return tmp_path, gt, srf, cube
 
 
-def make_checkpoint(tmp_path, rng, T=20, beta_end=0.1):
+def make_checkpoint(tmp_path, rng, T=20, beta_end=0.1, with_optimizer=False):
     cfg = DenoiserConfig(bands=BANDS, msi_bands=2, scale=SCALE, base_channels=8,
                          channel_multipliers=(1, 2), attention_levels=(),
                          time_embed_dim=16, groups=4)
     params = init_params(cfg, rng)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, cfg, params, step=0, schedule={"T": T, "beta_end": beta_end})
+    opt = AdamState.for_params(params).to_dict() if with_optimizer else None
+    save_checkpoint(path, cfg, params, opt, step=0, schedule={"T": T, "beta_end": beta_end})
     return path, cfg
 
 
@@ -110,6 +112,23 @@ class TestEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "header is not a JSON object" in err
+        assert not (tmp / "bad.json").exists()
+
+    @pytest.mark.parametrize("value", [None, "x", True, 2.0, -1])
+    def test_bad_header_size_reported(self, workspace, capsys, value):
+        tmp, gt, srf, cube = workspace
+        bad = tmp / "bad.hsic"
+        header = {"bands": value, "height": SIZE, "width": SIZE, "dtype": "f32",
+                  "interleave": "band-sequential", "value_range": [0.0, 1.0]}
+        bad.write_bytes(b"HSICUBE 1\n" + json.dumps(header).encode() + b"\n"
+                        + cube.data.astype("<f4").tobytes())
+        capsys.readouterr()
+        rc = main(["eval", "--ref", str(gt), "--est", str(bad), "--scale", "4",
+                   "--report", str(tmp / "bad.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"header has 'bands' {value!r}, not a non-negative integer" in err
         assert not (tmp / "bad.json").exists()
 
 
@@ -188,15 +207,18 @@ class TestFuse:
         assert not (tmp / "x.hsic").exists()
 
 
-    def test_malformed_checkpoint_manifest_reported(self, workspace, rng, capsys):
+    @staticmethod
+    def _fuse_with_edited_header(workspace, rng, capsys, edit) -> str:
+        """Run ``hsifusion fuse`` on an Adam checkpoint whose header ``edit``
+        changed in place; return its stderr after checking it failed."""
         tmp, gt, srf, cube = workspace
         main(["simulate", "--in", str(gt), "--block", str(SCALE), "--srf", str(srf),
               "--out-lr", str(tmp / "lr.hsic"), "--out-msi", str(tmp / "msi.hsic")])
-        ckpt_path, _ = make_checkpoint(tmp, rng)
+        ckpt_path, _ = make_checkpoint(tmp, rng, with_optimizer=True)
         raw = ckpt_path.read_bytes()
         (n,) = struct.unpack("<Q", raw[12:20])
         header = json.loads(raw[20:20 + n])
-        del header["tensors"][0]["shape"]
+        edit(header)
         head = json.dumps(header).encode("utf-8")
         ckpt_path.write_bytes(raw[:12] + struct.pack("<Q", len(head)) + head + raw[20 + n:])
         capsys.readouterr()
@@ -204,9 +226,24 @@ class TestFuse:
                    "--msi", str(tmp / "msi.hsic"), "--steps", "2",
                    "--out", str(tmp / "x.hsic")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "tensor entry 0 has no 'shape'" in err
         assert not (tmp / "x.hsic").exists()
+        return capsys.readouterr().err
+
+    def test_malformed_checkpoint_manifest_reported(self, workspace, rng, capsys):
+        err = self._fuse_with_edited_header(workspace, rng, capsys,
+                                            lambda h: h["tensors"][0].pop("shape"))
+        assert err.startswith("error:") and "tensor entry 0 has no 'shape'" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h["optimizer"].pop("beta1"), "header 'optimizer' has no 'beta1'"),
+        (lambda h: h.update(optimizer=[0.9]), "header 'optimizer' is not a JSON object"),
+        (lambda h: h["optimizer"].update(step=None), "'optimizer' has 'step' None"),
+        (lambda h: h.update(step=None), "header has 'step' None"),
+    ])
+    def test_malformed_checkpoint_optimizer_or_step_reported(self, workspace, rng, capsys,
+                                                             edit, message):
+        err = self._fuse_with_edited_header(workspace, rng, capsys, edit)
+        assert err.startswith("error:") and message in err
 
 
 def write_run_config(tmp_path, entries_train, entries_test, iterations=2):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,17 @@ class TestValidation:
         p = tmp_path / "bad.hsic"
         p.write_bytes(b'HSICUBE 1\n{"bands": 1, "height": 2}\n' + b"\x00" * 8)
         with pytest.raises(CubeFormatError, match="width"):
+            read_cube(p)
+
+    @pytest.mark.parametrize("field", ["bands", "height", "width"])
+    @pytest.mark.parametrize("value", [None, "x", "2", True, 2.0, -1, [2]])
+    def test_size_must_be_a_non_negative_integer(self, tmp_path, field, value):
+        p = tmp_path / "bad.hsic"
+        header = {"bands": 2, "height": 2, "width": 2, "dtype": "f32",
+                  "interleave": "band-sequential", "value_range": [0, 1], field: value}
+        p.write_bytes(b"HSICUBE 1\n" + json.dumps(header).encode() + b"\n" + b"\x00" * 32)
+        with pytest.raises(CubeFormatError,
+                           match=re.escape(f"has '{field}' {value!r}, not a non-negative")):
             read_cube(p)
 
     def test_unsupported_dtype_named(self, tmp_path):

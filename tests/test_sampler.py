@@ -11,6 +11,7 @@ from hsifusion.denoiser import DenoiserConfig, init_params
 from hsifusion.diffusion import posterior_mean_from_eps, q_sample
 from hsifusion.sampler import TauSchedule, ddim_sigma, ddim_step, fuse, select_tau
 from hsifusion.schedule import linear_schedule, posterior_coeffs
+from oracles import fuse_tile_major
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,17 @@ class TestDdimStep:
         with pytest.raises(ValueError, match="noise"):
             ddim_step(x, x, 10, 9, 0.01, sched)
 
+    @pytest.mark.parametrize("eps_shape,noise_shape", [
+        ((5, 6), (3, 5, 6)), ((3, 5, 6), (5, 6)), ((3, 5, 6), (6,)), ((3, 5, 6), (1, 5, 6)),
+    ])
+    def test_shape_mismatch_rejected(self, sched, rng, eps_shape, noise_shape):
+        # a (H, W) or (W,) array would broadcast across the bands unnoticed
+        xt = rng.normal(size=(3, 5, 6))
+        bad = "eps_hat" if eps_shape != xt.shape else "noise"
+        with pytest.raises(ValueError, match=f"{bad} has shape"):
+            ddim_step(xt, rng.normal(size=eps_shape), 10, 9, 0.01, sched,
+                      noise=rng.normal(size=noise_shape))
+
     def test_float32_step_computes_in_float32(self, sched, rng):
         # the schedule is float64, but its coefficients must not promote the
         # arrays: the result is the update evaluated in float32, bit for bit
@@ -152,6 +164,21 @@ def fusion_setup():
     obs = ObservationModel(block=4, srf=uniform_band_groups(4, 2))
     y, z = simulate_observations(cube, obs)
     return cfg, params, sched, y, z
+
+
+def _tiled_fuse_peak(rng, peak_alloc, d: int) -> float:
+    """tracemalloc peak, in output cubes, of a tiled posterior fuse of a
+    31-band 256x256 scene in 64-pixel tiles."""
+    cfg = DenoiserConfig(bands=31, msi_bands=3, scale=8, base_channels=8,
+                         channel_multipliers=(1, 2), attention_levels=(),
+                         time_embed_dim=16, groups=4)
+    params = init_params(cfg, rng)
+    y = rng.random((31, 32, 32)).astype(np.float32)
+    z = rng.random((3, 256, 256)).astype(np.float32)
+    with peak_alloc() as mem:
+        out = fuse(params, cfg, linear_schedule(20, 0.1), y, z, select_tau(20, d),
+                   sigma_mode="posterior", rng_seed=1, tile=64, tile_stride=48)
+    return mem.peak / out.data.nbytes
 
 
 class TestFuse:
@@ -257,18 +284,49 @@ class TestFuse:
 
     def test_tiled_fusion_blends_in_place(self, rng, peak_alloc):
         # 8.1 output cubes when the blend divided, clipped and cast into new
-        # float64 and float32 scenes; 6.1 when it does all three in place
-        cfg = DenoiserConfig(bands=31, msi_bands=3, scale=8, base_channels=8,
-                             channel_multipliers=(1, 2), attention_levels=(),
-                             time_embed_dim=16, groups=4)
-        params = init_params(cfg, rng)
-        y = rng.random((31, 32, 32)).astype(np.float32)
-        z = rng.random((3, 256, 256)).astype(np.float32)
-        with peak_alloc() as mem:
-            out = fuse(params, cfg, linear_schedule(20, 0.1), y, z, select_tau(20, 2),
-                       sigma_mode="posterior", rng_seed=1, tile=64, tile_stride=48)
-        cubes = mem.peak / out.data.nbytes
-        assert cubes <= 7.0, f"tiled fuse peaked at {cubes:.2f} output cubes"
+        # float64 and float32 scenes; 6.1 when it does all three in place;
+        # 4.5 since each step's noise field is drawn when the step runs
+        cubes = _tiled_fuse_peak(rng, peak_alloc, d=2)
+        assert cubes <= 5.0, f"tiled fuse peaked at {cubes:.2f} output cubes"
+
+    def test_tiled_fusion_memory_does_not_grow_with_steps(self, rng, peak_alloc):
+        # 6.1 cubes at d=2 and 9.1 at d=5 when every field was drawn up front
+        two, five = (_tiled_fuse_peak(rng, peak_alloc, d) for d in (2, 5))
+        assert five - two <= 0.25, f"peak {two:.2f} cubes at d=2, {five:.2f} at d=5"
+
+
+class TestStepMajorFusion:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 7), (31, 16, 24)])
+    def test_band_wise_draw_matches_one_whole_draw(self, shape):
+        # the same values as one float64 draw cast to float32, and the
+        # generator is left in the same state for the next field
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = sampler_mod._normal_field(got_rng, shape)
+        want = want_rng.normal(size=shape).astype(np.float32)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert got_rng.normal() == want_rng.normal()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("prediction", ["eps", "x0"])
+    @pytest.mark.parametrize("sigma_mode", ["zero", "posterior"])
+    @pytest.mark.parametrize("tile", [None, 8])
+    def test_matches_tile_major_bitwise(self, fusion_setup, tile, sigma_mode, prediction, d):
+        cfg, params, sched, y, z = fusion_setup
+        cfg = replace(cfg, prediction=prediction)
+        kw = dict(sigma_mode=sigma_mode, rng_seed=3, tile=tile, tile_stride=4)
+        got = fuse(params, cfg, sched, y, z, select_tau(40, d), **kw).data
+        want = fuse_tile_major(params, cfg, sched, y, z, select_tau(40, d), **kw)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tile,stride", [(16, 16), (32, 8), (8, 8), (8, 1)])
+    def test_tilings_match_tile_major_bitwise(self, fusion_setup, tile, stride):
+        # one tile the size of the scene, one larger, a partition, a dense overlap
+        cfg, params, sched, y, z = fusion_setup
+        kw = dict(sigma_mode="posterior", rng_seed=6, tile=tile, tile_stride=stride)
+        got = fuse(params, cfg, sched, y, z, select_tau(40, 2), **kw).data
+        want = fuse_tile_major(params, cfg, sched, y, z, select_tau(40, 2), **kw)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCleanCubeEstimator:
