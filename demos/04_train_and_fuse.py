@@ -12,6 +12,7 @@ count.
 
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -44,6 +45,22 @@ with tempfile.TemporaryDirectory() as tmp:
 print(f"trained in {time.time() - t0:.1f}s")
 
 sched = hf.linear_schedule(T, 0.05)
+
+# train_step backpropagates each batch item as soon as its loss exists, so
+# one item's graph is alive at a time and a step's memory barely grows with
+# the batch size
+print("\nbatch  one train_step: tracemalloc peak")
+params = hf.init_params(cfg, np.random.default_rng(0))
+opt = hf.AdamState.for_params(params)
+rng = np.random.default_rng(0)
+for b in (1, 4):
+    batch = [hf.sample_patch(triples, train_cfg.patch, SCALE, rng) for _ in range(b)]
+    tracemalloc.start()
+    hf.train_step(params, opt, batch, sched, train_cfg.loss_p, 0.0, rng, cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(f"{b:5d}  {peak / 2**20:5.2f} MiB")
+
 report = hf.FusionReport(scale=SCALE)
 for d in (5, 1):
     t0 = time.time()

@@ -112,7 +112,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointFormatError(f"{path}: file ends inside the {head_len}-byte header")
         header = _read_header(fh.read(head_len), path, CheckpointFormatError,
                               ("config", "tensors", "optimizer"), counts=("step",))
-        config = DenoiserConfig.from_dict(header["config"])
+        config = DenoiserConfig.from_dict(
+            _check_fields(header["config"], f"{path}: header 'config'", CheckpointFormatError)
+        )
+        schedule = header.get("schedule")
+        if schedule is not None:  # train() writes both keys, and fuse reads both
+            _check_fields(schedule, f"{path}: header 'schedule'", CheckpointFormatError,
+                          counts=("T",), numbers=("beta_end",))
         specs = _tensor_specs(path, header["tensors"])
         opt = header["optimizer"]
         layout = [(shape, dt) for _, shape, dt in specs]
@@ -133,7 +139,7 @@ def load_checkpoint(path) -> Checkpoint:
         }
     return Checkpoint(
         config=config, params=params, opt_state=opt_state,
-        step=header["step"], schedule=header.get("schedule"),
+        step=header["step"], schedule=schedule,
     )
 
 

@@ -114,6 +114,10 @@ def _read_header(raw: bytes, path, error, required, counts=()) -> dict:
     return _check_fields(header, f"{path}: header", error, required, counts)
 
 
+def _is_number(v) -> bool:
+    return type(v) in (int, float)  # never a bool
+
+
 def _check_fields(obj, where, error, required=(), counts=(), numbers=()) -> dict:
     """Check that ``obj`` is a JSON object with every key of ``required``, a
     non-negative int under each of ``counts`` and an int or float under each
@@ -124,7 +128,7 @@ def _check_fields(obj, where, error, required=(), counts=(), numbers=()) -> dict
     if missing:
         raise error(f"{where} has no {', '.join(map(repr, missing))}")
     for keys, what, ok in ((counts, "a non-negative integer", lambda v: type(v) is int and v >= 0),
-                           (numbers, "a number", lambda v: type(v) in (int, float))):
+                           (numbers, "a number", _is_number)):
         for k in keys:
             if not ok(obj[k]):
                 raise error(f"{where} has {k!r} {obj[k]!r}, not {what}")
@@ -186,12 +190,19 @@ def read_cube(path) -> HsiCube:
         for key, wanted in (("dtype", "f32"), ("interleave", "band-sequential")):
             if header[key] != wanted:
                 raise CubeFormatError(f"{path}: unsupported {key} '{header[key]}'")
+        value_range, wavelengths = header["value_range"], header.get("wavelengths_nm")
+        if not (isinstance(value_range, list) and len(value_range) == 2
+                and all(map(_is_number, value_range))):
+            raise CubeFormatError(
+                f"{path}: header has 'value_range' {value_range!r}, not a list of two numbers"
+            )
+        if wavelengths is not None and not (isinstance(wavelengths, list)
+                                            and all(map(_is_number, wavelengths))):
+            raise CubeFormatError(
+                f"{path}: header has 'wavelengths_nm' {wavelengths!r}, not a list of numbers"
+            )
         shape = (header["bands"], header["height"], header["width"])
         [data] = _read_payload(fh, [(shape, "<f4")], path, CubeFormatError)
     if not np.all(np.isfinite(data)):
         raise CubeFormatError(f"{path}: payload contains non-finite values")
-    return HsiCube(
-        data,
-        value_range=tuple(header["value_range"]),
-        wavelengths_nm=header.get("wavelengths_nm"),
-    )
+    return HsiCube(data, value_range=tuple(value_range), wavelengths_nm=wavelengths)

@@ -1,8 +1,9 @@
 """Differentiable layer primitives for the denoising network.
 
 All image primitives work on single images laid out channel-first (C, H, W).
-Batching is the caller's job (loop and average losses); the graphs of the
-batch items simply coexist on the tape.
+Batching is the caller's job: ``trainer.train_step`` builds one item's graph,
+backpropagates its share of the batch-mean loss and only then builds the
+next, so one item's graph is on the tape at a time.
 
 Every primitive here is exercised by a central finite-difference gradient
 check in the test suite (float64 mode).

@@ -145,29 +145,43 @@ def train_step(
 
     Each item draws its own uniform timestep and Gaussian noise; the loss is
     taken against the noise or, when ``cfg.prediction == "x0"``, against the
-    clean patch, and averaged over items.
+    clean patch, and averaged over items. The gradient of that mean is the
+    mean of the per-item gradients, so each item is backpropagated, scaled
+    by 1/B, as soon as its loss exists: its graph is consumed before the
+    next item's is built, and one item's graph is the most the step holds.
+    Adam runs once, after the last item. The returned loss is the float32
+    sum of the item losses, in batch order, scaled by 1/B.
+
+    A non-finite loss raises ``TrainingError`` before the update. Whatever
+    ends the step, no parameter keeps a gradient, and on an error the
+    parameters and the optimizer state are left as they were.
     """
     dtype = default_dtype()
-    loss = None
-    for x0, y, z in batch:
-        x0 = as_cube_array(x0).astype(dtype)
-        t = int(rng.integers(1, sched.T + 1))
-        eps = rng.standard_normal(x0.shape).astype(dtype)
-        xt = q_sample(x0, t, eps, sched)
-        cond = assemble_condition(xt, np.asarray(y, dtype=dtype), np.asarray(z, dtype=dtype))
-        pred = predict_noise(params, cfg, cond, t)
-        target = x0 if cfg.prediction == "x0" else eps
-        item_loss = simple_loss(target, pred, loss_p)
-        loss = item_loss if loss is None else loss + item_loss
-    loss = t_scale(loss, 1.0 / len(batch))
-    value = loss.item()
-    if not np.isfinite(value):
-        raise TrainingError(f"non-finite loss {value} at optimizer step {opt.step + 1}")
-    backward(loss)
-    adam_step(params, opt, lr)
-    for p in params.values():
-        p.zero_grad()
-    return value
+    weight = 1.0 / len(batch)
+    total = None
+    try:
+        for x0, y, z in batch:
+            x0 = as_cube_array(x0).astype(dtype)
+            t = int(rng.integers(1, sched.T + 1))
+            eps = rng.standard_normal(x0.shape).astype(dtype)
+            xt = q_sample(x0, t, eps, sched)
+            cond = assemble_condition(xt, np.asarray(y, dtype=dtype), np.asarray(z, dtype=dtype))
+            pred = predict_noise(params, cfg, cond, t)
+            item_loss = simple_loss(x0 if cfg.prediction == "x0" else eps, pred, loss_p)
+            del xt, cond, pred
+            # the item losses are non-negative, so the running sum is finite
+            # exactly when every item loss and the batch loss are
+            total = item_loss.data if total is None else total + item_loss.data
+            if not np.isfinite(total):
+                raise TrainingError(
+                    f"non-finite loss {total.item()} at optimizer step {opt.step + 1}"
+                )
+            backward(t_scale(item_loss, weight))
+        adam_step(params, opt, lr)
+    finally:
+        for p in params.values():
+            p.zero_grad()
+    return t_scale(total, weight).item()
 
 
 def _stream_rng(seed: int, stream: int, step: int = 0) -> np.random.Generator:

@@ -2,20 +2,22 @@
 
 Everything here is deliberately naive (elementwise loops, brute-force Bayes,
 finite differences) and shares no code with the implementation under test.
-``fuse_tile_major`` is the one exception: it reuses the network and the DDIM
-update, and is independent only in its loop order, noise draws and blend.
+``fuse_tile_major`` and ``train_step_joint`` are the exceptions: they reuse
+the network, the DDIM update and the optimizer, and are independent only in
+their loop order, noise draws, blend and graph lifetime.
 """
 
 import math
 
 import numpy as np
 
-from hsifusion.autodiff import Tensor, as_tensor, backward
+from hsifusion.autodiff import Tensor, add, as_tensor, backward, scale
 from hsifusion.datacube import as_cube_array
-from hsifusion.denoiser import predict_noise
-from hsifusion.diffusion import eps_from_x0
+from hsifusion.denoiser import assemble_condition, predict_noise
+from hsifusion.diffusion import eps_from_x0, q_sample, simple_loss
 from hsifusion.ops import bicubic_upsample, concat_channels
 from hsifusion.sampler import ddim_sigma, ddim_step
+from hsifusion.trainer import adam_step
 
 FD_STEP = 1e-4
 
@@ -257,3 +259,26 @@ def fuse_tile_major(params, cfg, sched, y, z, tau, sigma_mode="zero", rng_seed=0
             acc[sl] += patch * w2d
             weight[r:r + tile, c:c + tile] += w2d
     return np.clip(acc / np.maximum(weight, 1e-12), 0.0, 1.0).astype(np.float32)
+
+
+def train_step_joint(params, opt, batch, sched, loss_p, lr, rng, cfg) -> float:
+    """``trainer.train_step``'s update and returned loss, computed with every
+    item's graph built first, joined into one batch-mean loss and
+    backpropagated once."""
+    loss = None
+    for x0, y, z in batch:
+        x0 = as_cube_array(x0).astype(np.float32)
+        t = int(rng.integers(1, sched.T + 1))
+        eps = rng.standard_normal(x0.shape).astype(np.float32)
+        cond = assemble_condition(q_sample(x0, t, eps, sched),
+                                  np.asarray(y, dtype=np.float32), np.asarray(z, dtype=np.float32))
+        pred = predict_noise(params, cfg, cond, t)
+        item_loss = simple_loss(x0 if cfg.prediction == "x0" else eps, pred, loss_p)
+        loss = item_loss if loss is None else add(loss, item_loss)
+    loss = scale(loss, 1.0 / len(batch))
+    value = loss.item()
+    backward(loss)
+    adam_step(params, opt, lr)
+    for p in params.values():
+        p.zero_grad()
+    return value

@@ -179,6 +179,24 @@ _OPTIMIZER_EDITS = {
                     "header has 'step' '42', not a non-negative integer"),
 }
 
+# a corruption of the config or schedule section, and its error
+_CONFIG_SCHEDULE_EDITS = {
+    "config-null": (lambda h: h.update(config=None), "header 'config' is not a JSON object"),
+    "config-list": (lambda h: h.update(config=[2, 1]), "header 'config' is not a JSON object"),
+    "schedule-empty": (lambda h: h.update(schedule={}),
+                       "header 'schedule' has no 'T', 'beta_end'"),
+    "schedule-string": (lambda h: h.update(schedule="x"),
+                        "header 'schedule' is not a JSON object"),
+    "schedule-no-beta-end": (lambda h: h["schedule"].pop("beta_end"),
+                             "header 'schedule' has no 'beta_end'"),
+    "schedule-T-fractional": (lambda h: h["schedule"].update(T=2.5),
+                              "'schedule' has 'T' 2.5, not a non-negative integer"),
+    "schedule-T-negative": (lambda h: h["schedule"].update(T=-1),
+                            "'schedule' has 'T' -1, not a non-negative integer"),
+    "schedule-beta-end-string": (lambda h: h["schedule"].update(beta_end="0.02"),
+                                 "'schedule' has 'beta_end' '0.02', not a number"),
+}
+
 
 class TestValidation:
     def test_tampered_magic(self, setup):
@@ -262,6 +280,23 @@ class TestValidation:
         _with_header(path, header)
         with pytest.raises(CheckpointFormatError, match=re.escape(message)):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(_CONFIG_SCHEDULE_EDITS))
+    def test_malformed_config_or_schedule_named(self, setup, case):
+        cfg, params, opt, path = setup
+        save_checkpoint(path, cfg, params, opt.to_dict(), schedule={"T": 50, "beta_end": 0.02})
+        header = _header(path)
+        edit, message = _CONFIG_SCHEDULE_EDITS[case]
+        edit(header)
+        _with_header(path, header)
+        with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("schedule", [None, {"T": 50, "beta_end": 0}])
+    def test_null_schedule_and_integral_beta_end_load(self, setup, schedule):
+        cfg, params, _, path = setup
+        save_checkpoint(path, cfg, params, schedule=schedule)
+        assert load_checkpoint(path).schedule == schedule
 
     def test_integral_optimizer_numbers_load(self, setup):
         # JSON writes 0 for a zero eps; an int is a number as much as a float

@@ -131,6 +131,26 @@ class TestEval:
         assert f"header has 'bands' {value!r}, not a non-negative integer" in err
         assert not (tmp / "bad.json").exists()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("value_range", None, "header has 'value_range' None, not a list of two numbers"),
+        ("value_range", [0, 1, 2], "'value_range' [0, 1, 2], not a list of two numbers"),
+        ("wavelengths_nm", "x", "header has 'wavelengths_nm' 'x', not a list of numbers"),
+    ])
+    def test_bad_header_metadata_reported(self, workspace, capsys, field, value, message):
+        tmp, gt, srf, cube = workspace
+        bad = tmp / "bad.hsic"
+        header = {"bands": BANDS, "height": SIZE, "width": SIZE, "dtype": "f32",
+                  "interleave": "band-sequential", "value_range": [0.0, 1.0], field: value}
+        bad.write_bytes(b"HSICUBE 1\n" + json.dumps(header).encode() + b"\n"
+                        + cube.data.astype("<f4").tobytes())
+        capsys.readouterr()
+        rc = main(["eval", "--ref", str(gt), "--est", str(bad), "--scale", "4",
+                   "--report", str(tmp / "bad.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp / "bad.json").exists()
+
 
 class TestFuse:
     def test_fuse_writes_cube_and_is_deterministic(self, workspace, rng):
@@ -242,6 +262,16 @@ class TestFuse:
     ])
     def test_malformed_checkpoint_optimizer_or_step_reported(self, workspace, rng, capsys,
                                                              edit, message):
+        err = self._fuse_with_edited_header(workspace, rng, capsys, edit)
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h.update(config=None), "header 'config' is not a JSON object"),
+        (lambda h: h.update(schedule={}), "header 'schedule' has no 'T', 'beta_end'"),
+        (lambda h: h.update(schedule="x"), "header 'schedule' is not a JSON object"),
+    ])
+    def test_malformed_checkpoint_config_or_schedule_reported(self, workspace, rng, capsys,
+                                                              edit, message):
         err = self._fuse_with_edited_header(workspace, rng, capsys, edit)
         assert err.startswith("error:") and message in err
 

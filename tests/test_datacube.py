@@ -113,6 +113,37 @@ class TestValidation:
                            match=re.escape(f"has '{field}' {value!r}, not a non-negative")):
             read_cube(p)
 
+    @pytest.mark.parametrize("field,value,what", [
+        ("value_range", None, "a list of two numbers"),
+        ("value_range", [0, 1, 2], "a list of two numbers"),
+        ("value_range", [0], "a list of two numbers"),
+        ("value_range", ["0", "1"], "a list of two numbers"),
+        ("value_range", [False, True], "a list of two numbers"),
+        ("value_range", {"lo": 0, "hi": 1}, "a list of two numbers"),
+        ("wavelengths_nm", "400", "a list of numbers"),
+        ("wavelengths_nm", [400, None], "a list of numbers"),
+        ("wavelengths_nm", {"0": 400}, "a list of numbers"),
+    ])
+    def test_metadata_must_be_numbers(self, tmp_path, field, value, what):
+        p = tmp_path / "bad.hsic"
+        header = {"bands": 2, "height": 2, "width": 2, "dtype": "f32",
+                  "interleave": "band-sequential", "value_range": [0, 1], field: value}
+        p.write_bytes(b"HSICUBE 1\n" + json.dumps(header).encode() + b"\n" + b"\x00" * 32)
+        with pytest.raises(CubeFormatError,
+                           match=re.escape(f"has '{field}' {value!r}, not {what}")):
+            read_cube(p)
+
+    @pytest.mark.parametrize("wavelengths", [None, [400, 500.5]])
+    def test_integral_range_and_optional_wavelengths_load(self, tmp_path, wavelengths):
+        p = tmp_path / "ok.hsic"
+        header = {"bands": 2, "height": 2, "width": 2, "dtype": "f32",
+                  "interleave": "band-sequential", "value_range": [0, 255],
+                  "wavelengths_nm": wavelengths}
+        p.write_bytes(b"HSICUBE 1\n" + json.dumps(header).encode() + b"\n" + b"\x00" * 32)
+        cube = read_cube(p)
+        assert cube.value_range == (0.0, 255.0)
+        assert cube.wavelengths_nm == wavelengths
+
     def test_unsupported_dtype_named(self, tmp_path):
         p = tmp_path / "bad.hsic"
         header = (b'{"bands": 1, "height": 1, "width": 1, "dtype": "f64", '

@@ -22,6 +22,7 @@ from hsifusion.trainer import (
     train,
     train_step,
 )
+from oracles import train_step_joint
 
 
 def tiny_model():
@@ -203,6 +204,53 @@ class TestTrainStep:
         with pytest.raises(TrainingError, match="step"):
             train_step(params, opt, [(bad, y, z)], sched, 2, 1e-4, rng, cfg)
 
+    @pytest.mark.parametrize("prediction", ["eps", "x0"])
+    @pytest.mark.parametrize("loss_p", [1, 2])
+    @pytest.mark.parametrize("batch_size", [1, 3, 5])
+    def test_matches_joint_graph_bitwise(self, prediction, loss_p, batch_size):
+        # backpropagating item by item is the same arithmetic as one backward
+        # through the joined batch graph: same draws, same float32 sums
+        rng = np.random.default_rng(7)
+        cfg = replace(tiny_model(), prediction=prediction)
+        ds = tiny_dataset(rng)
+        sched = linear_schedule(50, 0.1)
+        runs = []
+        for step_fn in (train_step, train_step_joint):
+            params = init_params(cfg, np.random.default_rng(1))
+            opt = AdamState.for_params(params)
+            losses = []
+            for step in range(3):
+                draws = np.random.default_rng([3, step])
+                batch = [sample_patch(ds, 4, 2, draws) for _ in range(batch_size)]
+                losses.append(step_fn(params, opt, batch, sched, loss_p, 1e-2, draws, cfg))
+            runs.append((losses, params, opt))
+        (losses, params, opt), (ref_losses, ref_params, ref_opt) = runs
+        assert losses == ref_losses
+        assert opt.step == ref_opt.step == 3
+        for name in params:
+            assert params[name].grad is None
+            np.testing.assert_array_equal(params[name].data, ref_params[name].data)
+            np.testing.assert_array_equal(opt.m[name], ref_opt.m[name])
+            np.testing.assert_array_equal(opt.v[name], ref_opt.v[name])
+
+    def test_non_finite_item_mid_batch_leaves_state_untouched(self, rng):
+        cfg = tiny_model()
+        params = init_params(cfg, rng)
+        opt = AdamState.for_params(params)
+        sched = linear_schedule(50, 0.1)
+        good, other = (sample_patch(tiny_dataset(rng), 4, 2, rng) for _ in range(2))
+        bad = (np.full_like(good[0], np.nan),) + good[1:]
+        before = copy.deepcopy((params, opt))
+        with pytest.raises(TrainingError, match="step 1"):
+            train_step(params, opt, [good, bad, other], sched, 2, 1e-2, rng, cfg)
+        ref_params, ref_opt = before
+        assert opt.step == ref_opt.step == 0
+        for name, p in params.items():
+            assert p.grad is None
+            np.testing.assert_array_equal(p.data, ref_params[name].data)
+            np.testing.assert_array_equal(opt.m[name], ref_opt.m[name])
+            np.testing.assert_array_equal(opt.v[name], ref_opt.v[name])
+
     def test_single_sample_memorization(self, rng):
         # a sufficient-capacity network must fit one fixed (x0, y, z, t, eps)
         cfg = tiny_model()
@@ -231,14 +279,16 @@ class TestTrainStep:
 
 
 class TestTapeMemory:
+    CFG = DenoiserConfig(bands=4, msi_bands=2, scale=2, base_channels=8,
+                         channel_multipliers=(1, 2), attention_levels=(1,),
+                         time_embed_dim=16, groups=4)
+
     def test_backward_frees_the_tape_as_it_goes(self, rng, peak_alloc):
         # what backward allocates beyond the live graph: 4.17 MB on a
         # 8.92 MB graph when every node kept its adjoint and closure until
         # the step returned, 0.16 MB on a 6.85 MB graph when backward
         # consumes the graph
-        cfg = DenoiserConfig(bands=4, msi_bands=2, scale=2, base_channels=8,
-                             channel_multipliers=(1, 2), attention_levels=(1,),
-                             time_embed_dim=16, groups=4)
+        cfg = self.CFG
         params = init_params(cfg, rng)
         x0 = rng.random((4, 32, 32)).astype(np.float32)
         y = rng.random((4, 16, 16)).astype(np.float32)
@@ -251,6 +301,25 @@ class TestTapeMemory:
         extra = mem.peak
         assert all(p.grad is not None for p in params.values())
         assert extra < live / 4, f"backward took {extra / 1e6:.2f} MB over a {live / 1e6:.2f} MB graph"
+
+    def test_train_step_holds_one_item_graph(self, rng, peak_alloc):
+        # each item's graph is consumed before the next is built, so a
+        # batch of 4 peaks near a batch of 1 (3.83x when all four graphs
+        # lived until one joint backward)
+        cfg = self.CFG
+        params = init_params(cfg, rng)
+        opt = AdamState.for_params(params)
+        sched = linear_schedule(50, 0.1)
+        batch = [(rng.random((4, 32, 32)).astype(np.float32),
+                  rng.random((4, 16, 16)).astype(np.float32),
+                  rng.random((2, 32, 32)).astype(np.float32)) for _ in range(4)]
+        peaks = {}
+        for size in (1, 4):
+            with peak_alloc() as mem:
+                train_step(params, opt, batch[:size], sched, 2, 1e-4, rng, cfg)
+            peaks[size] = mem.peak
+        assert peaks[4] <= 1.25 * peaks[1], (
+            f"B=4 step peaked at {peaks[4] / 1e6:.2f} MB, B=1 at {peaks[1] / 1e6:.2f} MB")
 
 
 class TestTrainLoop:
