@@ -8,6 +8,13 @@ conv of each block, optional attention, strided-conv downsample), a
 bottleneck of residual/attention/residual, a mirrored up path consuming skip
 concatenations, and a zero-initialized output conv.
 
+A residual block is GroupNorm -> SiLU -> conv + bias, twice. Each of those
+layers is one primitive: ``group_norm(..., silu=True)`` and
+``conv2d(..., bias=...)``, so a network evaluation on the default
+three-level config records 87 tape nodes. The time bias stays a separate
+``add_channel_bias``: folding it into the conv bias would change the float32
+rounding.
+
 ``DenoiserConfig.prediction`` names what the output estimates: ``"eps"``
 (the default) reads it as the injected noise, ``"x0"`` as the clean cube.
 Both drive the same sampler: an x0 output is turned into the implied noise
@@ -46,6 +53,11 @@ from .ops import (
 )
 
 
+def _is_int(value) -> bool:
+    # JSON true/false must not pass for 1/0
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DenoiserConfig:
     bands: int
@@ -59,8 +71,22 @@ class DenoiserConfig:
     prediction: str = "eps"
 
     def __post_init__(self):
-        object.__setattr__(self, "channel_multipliers", tuple(self.channel_multipliers))
+        for name in ("bands", "msi_bands", "scale", "base_channels", "time_embed_dim", "groups"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"model config '{name}' must be a positive integer, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("channel_multipliers", "attention_levels"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
+                raise ValueError(f"model config '{name}' must be a list of integers, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in value))
         object.__setattr__(self, "attention_levels", tuple(sorted(set(self.attention_levels))))
+        if any(m < 1 for m in self.channel_multipliers):
+            raise ValueError(f"model config 'channel_multipliers' must be positive, "
+                             f"got {list(self.channel_multipliers)}")
         if self.levels < 1:
             raise ValueError("need at least one resolution level")
         if self.time_embed_dim % 2 != 0:
@@ -234,8 +260,7 @@ def _conv_bias(p: _ParamView, name: str, x: Tensor, c_out: int, stride: int = 1,
                zero: bool = False) -> Tensor:
     c_in = x.shape[0]
     w = p.take(name + ".w", (c_out, c_in, 3, 3), fan_in=None if zero else 9 * c_in)
-    h = conv2d(x, w, stride=stride, padding=1)
-    return add_channel_bias(h, p.take(name + ".b", (c_out,)))
+    return conv2d(x, w, stride=stride, padding=1, bias=p.take(name + ".b", (c_out,)))
 
 
 def _dense(p: _ParamView, name: str, x: Tensor, n_out: int) -> Tensor:
@@ -245,15 +270,17 @@ def _dense(p: _ParamView, name: str, x: Tensor, n_out: int) -> Tensor:
 
 
 def _norm(p: _ParamView, name: str, x: Tensor, groups: int) -> Tensor:
+    # every norm of the network feeds a SiLU
     c = x.shape[0]
-    return group_norm(x, groups, p.take(name + ".g", (c,), fill=1.0), p.take(name + ".b", (c,)))
+    return group_norm(x, groups, p.take(name + ".g", (c,), fill=1.0), p.take(name + ".b", (c,)),
+                      silu=True)
 
 
 def _res_block(p: _ParamView, name: str, x: Tensor, temb: Tensor, groups: int,
                c_out: int) -> Tensor:
-    h = _conv_bias(p, name + ".conv1", silu(_norm(p, name + ".norm1", x, groups)), c_out)
+    h = _conv_bias(p, name + ".conv1", _norm(p, name + ".norm1", x, groups), c_out)
     h = add_channel_bias(h, _dense(p, name + ".tproj", silu(temb), c_out))
-    h = _conv_bias(p, name + ".conv2", silu(_norm(p, name + ".norm2", h, groups)), c_out)
+    h = _conv_bias(p, name + ".conv2", _norm(p, name + ".norm2", h, groups), c_out)
     c_in = x.shape[0]
     if c_in != c_out:
         x = conv2d(x, p.take(name + ".skip.w", (c_out, c_in, 1, 1), fan_in=c_in))
@@ -288,15 +315,14 @@ def _forward(p: _ParamView, cfg: DenoiserConfig, x_in: Tensor, t: int) -> Tensor
     h = _res_block(p, "mid.res2", h, temb, cfg.groups, chans[-1])
 
     for i in reversed(range(cfg.levels)):
-        h = _res_block(p, f"up{i}.res", concat_channels([h, skips.pop()]), temb, cfg.groups,
-                       chans[i])
+        h = concat_channels([h, skips.pop()])  # the pre-concat map is freed here
+        h = _res_block(p, f"up{i}.res", h, temb, cfg.groups, chans[i])
         if i in cfg.attention_levels:
             h = _attention(p, f"up{i}.attn", h)
         if i > 0:
             h = _conv_bias(p, f"up{i}.up", upsample_nearest(h, 2), chans[i - 1])
 
-    out = _conv_bias(p, "head.conv", silu(_norm(p, "head.norm", h, cfg.groups)), cfg.bands,
-                     zero=True)
+    out = _conv_bias(p, "head.conv", _norm(p, "head.norm", h, cfg.groups), cfg.bands, zero=True)
     p.finish()
     return out
 

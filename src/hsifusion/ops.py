@@ -19,12 +19,21 @@ values; the adjoint reuses them and writes out the softmax Jacobian-vector
 product, ``ds = p * (dp - rowsum(dp * p)) / sqrt(C)``. A call records one
 tape node.
 
+Two layer pairs of the network are one primitive each, so neither keeps an
+intermediate map alive on the tape: ``conv2d(..., bias=b)`` adds the
+per-channel bias while it writes its output, and
+``group_norm(..., silu=True)`` applies y * sigmoid(y) to the normalized map
+in place. Both are bitwise equal, output and gradients, to the two-op chains
+``add_channel_bias(conv2d(...), b)`` and ``silu(group_norm(...))``.
+
 What each adjoint's closure keeps alive until backward reaches it, beyond
 its parent tensors (whose buffers the tape holds anyway):
 
 - ``conv2d``: nothing; the adjoint rebuilds the phase images from ``x``.
 - ``group_norm``: the per-group mean and 1/std; the adjoint rebuilds the
-  standardized input from ``x``.
+  standardized input from ``x``. With ``silu=True`` also the sigmoid of the
+  normalized map y, one array of the input's size; the adjoint rebuilds y
+  itself with the forward's arithmetic.
 - ``silu``: the sigmoid of the input, one array of the input's size;
   rebuilding it would cost a tanh pass in every adjoint.
 - ``self_attention``: the token view, q, k, v, p and the attended values.
@@ -52,11 +61,13 @@ def _require_chw(x: Tensor, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate (C_in, H, W) with (C_out, C_in, k, k).
+def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+    """Cross-correlate (C_in, H, W) with (C_out, C_in, k, k), plus a per-channel
+    ``bias`` (C_out,) when one is given.
 
     Output spatial size is (H + 2*padding - k) // stride + 1. The kernel side
-    must be odd. No bias; see ``add_channel_bias``.
+    must be odd. The bias is added while the cropped output is written, so a
+    biased conv is one pass and one tape node.
 
     With s = stride, the padded input is split into s² phase images
     ``xp[:, a::s, b::s]`` of size (ceil(Hp/s) + 1, wq) with wq = ceil(Wp/s);
@@ -83,8 +94,12 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError("conv2d: stride must be >= 1 and padding >= 0")
     if h + 2 * padding < k or w + 2 * padding < k:
         raise ValueError(f"conv2d: input {h}x{w} too small for k={k}, padding={padding}")
-
     s, c_out = stride, kernel.shape[0]
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (c_out,):
+            raise ValueError(f"conv2d: bias {bias.shape} vs {c_out} output channels")
+
     h_out = (h + 2 * padding - k) // s + 1
     w_out = (w + 2 * padding - k) // s + 1
     hq = -(-(h + 2 * padding) // s) + 1
@@ -101,6 +116,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
         out += np.matmul(kernel.data[:, :, i, j], phases[a, b, :, off:off + n], out=tmp)
 
     def bwd(g):
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=(1, 2)))
         gf = np.zeros((c_out, h_out, wq), dtype=g.dtype)
         gf[:, :, :w_out] = g
         gf = gf.reshape(c_out, n)  # wrapped columns carry zero adjoint
@@ -119,8 +136,13 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
             gxp = gxp.reshape(c_in, hq * s, wq * s)
             x.accumulate_grad(gxp[:, padding:padding + h, padding:padding + w])
 
-    out = out.reshape(c_out, h_out, wq)[:, :, :w_out]
-    return from_op(np.ascontiguousarray(out), (x, kernel), bwd)
+    del phases, tmp  # freed before the cropped output exists
+    view = out.reshape(c_out, h_out, wq)[:, :, :w_out]
+    if bias is None:
+        return from_op(np.ascontiguousarray(view), (x, kernel), bwd)
+    res = np.empty(view.shape, dtype=np.result_type(view, bias.data))
+    np.add(view, bias.data[:, None, None], out=res)
+    return from_op(res, (x, kernel, bias), bwd)
 
 
 def _phase_images(x: np.ndarray, s: int, padding: int, hq: int, wq: int) -> np.ndarray:
@@ -217,8 +239,10 @@ def downsample_stride(x, stride: int = 2) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def group_norm(x, groups: int, gamma, beta) -> Tensor:
-    """Per-group standardization over (channels/groups, H, W), then affine.
+def group_norm(x, groups: int, gamma, beta, silu: bool = False) -> Tensor:
+    """Per-group standardization over (channels/groups, H, W), then affine;
+    with ``silu=True`` the result y goes on through y * sigmoid(y) in the
+    same primitive, bitwise equal to ``silu(group_norm(...))``.
 
     The variance is taken from the centred values (two passes), so a large
     common offset costs no float32 precision.
@@ -235,13 +259,37 @@ def group_norm(x, groups: int, gamma, beta) -> Tensor:
     mu = xg.mean(axis=1, keepdims=True)
     d = xg - mu
     inv_std = 1.0 / np.sqrt((d * d).mean(axis=1, keepdims=True) + GROUP_NORM_EPS)
+
+    def channel_scale():
+        return (gamma.data.reshape(groups, -1) * inv_std).reshape(c, 1, 1)
+
     # d becomes the output in place: one (C, H, W) buffer, scaled per channel
     out = d.reshape(c, h, w)
-    out *= (gamma.data.reshape(groups, -1) * inv_std).reshape(c, 1, 1)
+    out *= channel_scale()
     out += beta.data[:, None, None]
+    sig = None
+    if silu:  # _sigmoid's arithmetic, in one buffer
+        sig = np.multiply(out, 0.5)
+        np.tanh(sig, out=sig)
+        sig *= 0.5
+        sig += 0.5
+        out *= sig
 
     def bwd(g):
-        xh = (x.data.reshape(groups, -1) - mu) * inv_std  # rebuilt, not kept
+        xh = x.data.reshape(groups, -1) - mu  # standardized below; rebuilt, not kept
+        if sig is not None:
+            # y rebuilt with the forward's arithmetic, then silu's adjoint
+            # g * sig * (1 + y * (1 - sig))
+            y = xh.reshape(c, h, w) * channel_scale()
+            y += beta.data[:, None, None]
+            gy = 1.0 - sig
+            y *= gy
+            y += 1.0
+            np.multiply(g, sig, out=gy)
+            gy *= y
+            g = gy
+            del y
+        xh *= inv_std
         if beta.requires_grad:
             beta.accumulate_grad(g.sum(axis=(1, 2)))
         if gamma.requires_grad:

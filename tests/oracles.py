@@ -4,7 +4,9 @@ Everything here is deliberately naive (elementwise loops, brute-force Bayes,
 finite differences) and shares no code with the implementation under test.
 ``fuse_tile_major`` and ``train_step_joint`` are the exceptions: they reuse
 the network, the DDIM update and the optimizer, and are independent only in
-their loop order, noise draws, blend and graph lifetime.
+their loop order, noise draws, blend and graph lifetime. So are
+``conv_bias_unfused`` and ``norm_silu_unfused``: each is the two-primitive
+chain that one fused primitive replaces.
 """
 
 import math
@@ -15,7 +17,14 @@ from hsifusion.autodiff import Tensor, add, as_tensor, backward, scale
 from hsifusion.datacube import as_cube_array
 from hsifusion.denoiser import assemble_condition, predict_noise
 from hsifusion.diffusion import eps_from_x0, q_sample, simple_loss
-from hsifusion.ops import bicubic_upsample, concat_channels
+from hsifusion.ops import (
+    add_channel_bias,
+    bicubic_upsample,
+    concat_channels,
+    conv2d,
+    group_norm,
+    silu,
+)
 from hsifusion.sampler import ddim_sigma, ddim_step
 from hsifusion.trainer import adam_step
 
@@ -66,6 +75,16 @@ def conv2d_loops(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -
                 window = xp[:, r * stride:r * stride + k, c * stride:c * stride + k]
                 out[o, r, c] = float(np.sum(kernel[o] * window))
     return out
+
+
+def conv_bias_unfused(x, kernel, bias, stride: int, padding: int) -> Tensor:
+    """``conv2d(x, kernel, stride, padding, bias=bias)`` as two tape nodes."""
+    return add_channel_bias(conv2d(x, kernel, stride, padding), bias)
+
+
+def norm_silu_unfused(x, groups: int, gamma, beta) -> Tensor:
+    """``group_norm(x, groups, gamma, beta, silu=True)`` as two tape nodes."""
+    return silu(group_norm(x, groups, gamma, beta))
 
 
 def attention_loops(x: np.ndarray, wq, wk, wv, wo) -> np.ndarray:

@@ -161,6 +161,18 @@ def test_criterion_3_gradients(f64):
     bab = Tensor(rng.normal(size=(3,)), requires_grad=True)
     assert_grads_match(lambda: sq(ops.add_channel_bias(xab, bab)), [xab, bab])
 
+    # the fused layers, from their own draws so the sampled subset below stays
+    frng = np.random.default_rng(304)
+    xf = Tensor(frng.normal(size=(2, 5, 5)), requires_grad=True)
+    kf = Tensor(frng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+    bf = Tensor(frng.normal(size=(4,)), requires_grad=True)
+    for stride in (1, 2):
+        assert_grads_match(lambda: sq(ops.conv2d(xf, kf, stride, 1, bias=bf)), [xf, kf, bf])
+    xn = Tensor(frng.normal(size=(4, 3, 3)), requires_grad=True)
+    gn = Tensor(frng.normal(size=(4,)), requires_grad=True)
+    bn = Tensor(frng.normal(size=(4,)), requires_grad=True)
+    assert_grads_match(lambda: sq(ops.group_norm(xn, 2, gn, bn, silu=True)), [xn, gn, bn])
+
     # composed tiny denoiser end to end on a sampled parameter subset
     from oracles import numerical_grad
 

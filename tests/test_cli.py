@@ -265,6 +265,15 @@ class TestFuse:
         err = self._fuse_with_edited_header(workspace, rng, capsys, edit)
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("groups", 0), ("bands", "x"), ("scale", None), ("channel_multipliers", 5),
+        ("attention_levels", "ab"),
+    ])
+    def test_mistyped_checkpoint_config_field_reported(self, workspace, rng, capsys, key, value):
+        err = self._fuse_with_edited_header(workspace, rng, capsys,
+                                            lambda h: h["config"].update({key: value}))
+        assert err.startswith("error:") and f"model config '{key}' must be" in err
+
     @pytest.mark.parametrize("edit,message", [
         (lambda h: h.update(config=None), "header 'config' is not a JSON object"),
         (lambda h: h.update(schedule={}), "header 'schedule' has no 'T', 'beta_end'"),

@@ -215,6 +215,30 @@ class TestConfigAndParams:
         with pytest.raises(ValueError, match="prediction 'v'"):
             tiny_config(prediction="v")
 
+    @pytest.mark.parametrize("name, value", [
+        ("bands", "x"),
+        ("scale", None),
+        ("groups", 0),
+        ("msi_bands", True),
+        ("time_embed_dim", 8.0),
+        ("base_channels", -8),
+        ("channel_multipliers", 5),
+        ("channel_multipliers", [1, 2.5]),
+        ("channel_multipliers", [1, 0]),
+        ("attention_levels", "ab"),
+        ("attention_levels", [False]),
+    ])
+    def test_field_types_checked(self, name, value):
+        # each of these once loaded, or failed with a ZeroDivisionError or
+        # TypeError that named no field
+        with pytest.raises(ValueError, match=f"model config '{name}' must be"):
+            DenoiserConfig.from_dict({**tiny_config().to_dict(), name: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = tiny_config(bands=np.int64(2), channel_multipliers=[np.int64(1), np.int64(2)])
+        assert cfg == tiny_config() and type(cfg.bands) is int
+        assert all(type(m) is int for m in cfg.channel_multipliers)
+
     def test_roundtrip_dict(self):
         cfg = tiny_config()
         assert DenoiserConfig.from_dict(cfg.to_dict()) == cfg

@@ -8,7 +8,14 @@ import hsifusion.autodiff as ad
 from hsifusion.autodiff import Tensor, backward, mean_all, mul, sum_all
 from hsifusion import ops
 
-from oracles import assert_grads_match, attention_loops, bicubic_weight_loops, conv2d_loops
+from oracles import (
+    assert_grads_match,
+    attention_loops,
+    bicubic_weight_loops,
+    conv2d_loops,
+    conv_bias_unfused,
+    norm_silu_unfused,
+)
 
 
 def _sq_loss(out):
@@ -80,11 +87,20 @@ class TestConv2d:
         k = Tensor(rng.normal(size=(3, 2, side, side)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.conv2d(x, k, stride, padding)), [x, k])
 
+    @pytest.mark.parametrize("stride,padding,side", [(1, 1, 3), (2, 1, 3), (2, 0, 3), (1, 0, 1)])
+    def test_gradients_with_bias(self, f64, rng, stride, padding, side):
+        x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 2, side, side)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        assert_grads_match(lambda: _sq_loss(ops.conv2d(x, k, stride, padding, bias=b)),
+                           [x, k, b])
 
     def test_closure_keeps_only_parents(self, rng):
         x = Tensor(rng.normal(size=(3, 6, 7)), requires_grad=True)
         k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
         assert _held_arrays(ops.conv2d(x, k, stride=2, padding=1)) == []
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        assert _held_arrays(ops.conv2d(x, k, stride=2, padding=1, bias=b)) == []
 
 
 def _held_arrays(out):
@@ -183,6 +199,15 @@ class TestGroupNorm:
         beta = Tensor(rng.normal(size=(4,)), requires_grad=True)
         assert_grads_match(
             lambda: _sq_loss(ops.group_norm(x, 2, gamma, beta)), [x, gamma, beta]
+        )
+
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_gradients_with_silu(self, f64, rng, groups):
+        x = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        beta = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        assert_grads_match(
+            lambda: _sq_loss(ops.group_norm(x, groups, gamma, beta, silu=True)), [x, gamma, beta]
         )
 
 
@@ -325,6 +350,65 @@ class TestResampling:
         np.testing.assert_array_equal(out, x[:, ::3, ::3])
 
 
+class TestFusedLayers:
+    """``conv2d(bias=)`` and ``group_norm(silu=True)`` against the two-op
+    chains they replace: the same bytes in float32, output and gradients."""
+
+    @staticmethod
+    def _run(op, arrays, taped):
+        tensors = [Tensor(a, requires_grad=taped) for a in arrays]
+        out = op(*tensors)
+        if taped:
+            weight = np.random.default_rng(5).normal(size=out.shape).astype(np.float32)
+            backward(sum_all(mul(out, Tensor(weight))))
+        return [out.data] + [t.grad for t in tensors if taped]
+
+    def _assert_same_bytes(self, fused, unfused, arrays):
+        arrays = [a.astype(np.float32) for a in arrays]
+        for taped in (False, True):
+            got, want = self._run(fused, arrays, taped), self._run(unfused, arrays, taped)
+            assert len(got) == len(want) == (1 + len(arrays) if taped else 1)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float32 and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("side", [1, 3])
+    def test_conv_bias_matches_unfused(self, rng, stride, padding, side):
+        arrays = [rng.normal(size=(3, 7, 6)), rng.normal(size=(4, 3, side, side)),
+                  rng.normal(size=(4,))]
+        self._assert_same_bytes(lambda x, k, b: ops.conv2d(x, k, stride, padding, bias=b),
+                                lambda x, k, b: conv_bias_unfused(x, k, b, stride, padding),
+                                arrays)
+
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_norm_silu_matches_unfused(self, rng, groups):
+        arrays = [rng.normal(size=(4, 5, 6)) * 3 + 1, rng.normal(size=(4,)),
+                  rng.normal(size=(4,))]
+        self._assert_same_bytes(lambda x, g, b: ops.group_norm(x, groups, g, b, silu=True),
+                                lambda x, g, b: norm_silu_unfused(x, groups, g, b), arrays)
+
+    def test_each_fused_layer_records_one_node(self, op_outputs, rng):
+        x = Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+        h = ops.conv2d(x, k, padding=1, bias=Tensor(rng.normal(size=(4,)), requires_grad=True))
+        out = ops.group_norm(h, 2, Tensor(np.ones(4)), Tensor(np.zeros(4)), silu=True)
+        assert op_outputs == [h, out]
+
+    def test_conv_bias_shape_checked(self, rng):
+        with pytest.raises(ValueError, match="bias"):
+            ops.conv2d(Tensor(rng.normal(size=(2, 5, 5))), Tensor(rng.normal(size=(4, 2, 3, 3))),
+                       bias=Tensor(rng.normal(size=(2,))))
+
+    def test_norm_silu_closure_keeps_sigmoid_and_statistics(self, rng):
+        x = Tensor(rng.normal(size=(8, 5, 5)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=(8,)), requires_grad=True)
+        beta = Tensor(rng.normal(size=(8,)), requires_grad=True)
+        held = _held_arrays(ops.group_norm(x, 4, gamma, beta, silu=True))
+        assert sorted(a.shape for a in held) == [(4, 1), (4, 1), (8, 5, 5)]
+
+
 class TestComposedPipeline:
     def test_conv_norm_attention_l1_gradient(self, f64, rng):
         # the composed-pipeline check: conv -> group norm -> attention -> l1
@@ -381,6 +465,13 @@ class TestRandomizedShapes:
             assert_grads_match(lambda: _sq_loss(ops.silu(x)), [x])
             assert_grads_match(lambda: _sq_loss(ops.upsample_nearest(x, 2)), [x])
 
+            bias = Tensor(data_rng.normal(size=(c_out,)), requires_grad=True)
+            assert_grads_match(lambda: _sq_loss(ops.conv2d(x, k, 2, 1, bias=bias)), [x, k, bias])
+            assert_grads_match(
+                lambda: _sq_loss(ops.group_norm(x, groups, gamma, beta, silu=True)),
+                [x, gamma, beta],
+            )
+
 
 class TestFloatWidth:
     # the public functions of autodiff and ops that are not primitives
@@ -398,11 +489,13 @@ class TestFloatWidth:
             "scale": ad.scale(v, c), "neg": -v, "absolute": ad.absolute(v),
             "sum_all": ad.sum_all(v), "mean_all": ad.mean_all(v),
             "conv2d": ops.conv2d(x, t(3, 4, 3, 3), stride=2, padding=1),
+            "conv2d bias": ops.conv2d(x, t(3, 4, 3, 3), stride=2, padding=1, bias=t(3)),
             "bicubic_weight_matrix": ops.bicubic_weight_matrix(6, 2, dtype=np.float32),
             "bicubic_upsample": ops.bicubic_upsample(x, 2),
             "upsample_nearest": ops.upsample_nearest(x, 2),
             "downsample_stride": ops.downsample_stride(x, 2),
             "group_norm": ops.group_norm(x, 2, t(4), t(4)),
+            "group_norm silu": ops.group_norm(x, 2, t(4), t(4), silu=True),
             "silu": ops.silu(x),
             "dense": ops.dense(v, t(3, 6), t(3)),
             "add_channel_bias": ops.add_channel_bias(x, t(4)),
@@ -415,3 +508,12 @@ class TestFloatWidth:
         assert not public - self.NOT_PRIMITIVES - {k.split()[0] for k in outputs}
         promoted = {k: str(out.dtype) for k, out in outputs.items() if out.dtype != np.float32}
         assert not promoted
+
+    def test_fused_adjoints_keep_float32(self, rng):
+        def t(*shape):
+            return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+        x, k, b, gamma, beta = t(4, 6, 6), t(3, 4, 3, 3), t(3), t(3), t(3)
+        h = ops.conv2d(x, k, stride=2, padding=1, bias=b)
+        backward(sum_all(ops.group_norm(h, 3, gamma, beta, silu=True)))
+        assert {p.grad.dtype for p in (x, k, b, gamma, beta)} == {np.dtype(np.float32)}

@@ -181,6 +181,15 @@ def _tiled_fuse_peak(rng, peak_alloc, d: int) -> float:
     return mem.peak / out.data.nbytes
 
 
+def _whole_fuse_peak(fusion_setup, peak_alloc) -> float:
+    """tracemalloc peak, in output cubes, of an untaped whole-scene fuse of
+    the ``fusion_setup`` model."""
+    cfg, params, sched, y, z = fusion_setup
+    with peak_alloc() as mem:
+        out = fuse(params, cfg, sched, y, z, select_tau(40, 2), rng_seed=1)
+    return mem.peak / out.data.nbytes
+
+
 class TestFuse:
     def test_shape_and_range(self, fusion_setup):
         cfg, params, sched, y, z = fusion_setup
@@ -288,6 +297,12 @@ class TestFuse:
         # 4.5 since each step's noise field is drawn when the step runs
         cubes = _tiled_fuse_peak(rng, peak_alloc, d=2)
         assert cubes <= 5.0, f"tiled fuse peaked at {cubes:.2f} output cubes"
+
+    def test_whole_fusion_peak_holds_one_map_per_layer(self, fusion_setup, peak_alloc):
+        # 33.4 output cubes when each conv bias and each SiLU after a norm
+        # wrote a map of its own; 29.0 with one primitive per layer
+        cubes = _whole_fuse_peak(fusion_setup, peak_alloc)
+        assert cubes <= 31.0, f"whole fuse peaked at {cubes:.2f} output cubes"
 
     def test_tiled_fusion_memory_does_not_grow_with_steps(self, rng, peak_alloc):
         # 6.1 cubes at d=2 and 9.1 at d=5 when every field was drawn up front
