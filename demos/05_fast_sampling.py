@@ -2,8 +2,8 @@
 
 Uses an untrained (randomly headed) network; output quality is meaningless
 here, the point is the step-count / wall-time relationship, the determinism
-of the sigma = 0 sampler, and a tiled fuse whose memory does not grow with
-the step count.
+of the sigma = 0 sampler, and fuses whose memory grows neither with the
+step count nor with posterior noise.
 """
 
 import time
@@ -41,13 +41,23 @@ b = hf.fuse(params, cfg, sched, y, z, hf.select_tau(T, 2), rng_seed=9).data
 print(f"\nsame seed, same bytes: {np.array_equal(a, b)}")
 
 # fusion is step-major: every tile takes step i before any takes step i+1,
-# and each step's posterior noise field is drawn only when that step runs,
-# so the memory of a tiled fuse stays flat as the step count grows
-print("\nsteps  tiled posterior fuse, 32px tiles: tracemalloc peak")
-for d in (1, 2, 5, 10, 20):
+# and each step's posterior noise is drawn and added one band at a time once
+# every tile has stepped, so the memory of a fuse stays flat as the step
+# count grows and posterior noise costs no more memory than sigma = 0
+def peak_cubes(d, **kw):
     tracemalloc.start()
-    tiled = hf.fuse(params, cfg, sched, y, z, hf.select_tau(T, d), sigma_mode="posterior",
-                    rng_seed=9, tile=32, tile_stride=24)
+    out = hf.fuse(params, cfg, sched, y, z, hf.select_tau(T, d), rng_seed=9, **kw)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    print(f"{d:5d}  {peak / 2**20:5.2f} MiB = {peak / tiled.data.nbytes:5.2f} output cubes")
+    return peak / 2**20, peak / out.data.nbytes
+
+
+print("\nsteps  tiled posterior fuse, 32px tiles: tracemalloc peak")
+for d in (1, 2, 5, 10, 20):
+    mib, cubes = peak_cubes(d, sigma_mode="posterior", tile=32, tile_stride=24)
+    print(f"{d:5d}  {mib:5.2f} MiB = {cubes:5.2f} output cubes")
+
+print("\nsteps  untiled fuse: tracemalloc peak, zero / posterior sigma")
+for d in (1, 2, 5):
+    (_, zero), (_, posterior) = (peak_cubes(d, sigma_mode=m) for m in ("zero", "posterior"))
+    print(f"{d:5d}  {zero:5.2f} / {posterior:5.2f} output cubes")

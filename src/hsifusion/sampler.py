@@ -4,8 +4,12 @@ A fused image starts as pure Gaussian noise at the few-band image's
 resolution and is denoised over a sub-sequence of timesteps, conditioning on
 the two observed images at every step. With sigma = 0 the update is
 deterministic given the initial noise. Fusion runs step-major: every tile (or
-the one whole-scene window) takes a step before any takes the next, and each
-step's noise field is drawn only when that step runs.
+the one whole-scene window) takes a step before any takes the next. Noise
+never exists as a whole-scene cube: the initial noise and each step's
+posterior noise are drawn one band at a time, the band's tile crops written
+into (or added to) the tile states, and the tiles are blended band by band.
+Memory therefore scales with the tile states and one band, not with the
+step count or a float64 scene.
 """
 
 from __future__ import annotations
@@ -87,6 +91,23 @@ def ddim_step(
     plus sigma * noise. The final transition (t_prev = 0) is noise-free.
     ``eps_hat`` and ``noise`` must have the shape of ``xt``.
     """
+    out = _ddim_mean(xt, eps_hat, t, t_prev, sigma, sched)
+    if noise is not None and np.shape(noise) != out.shape:
+        raise ValueError(f"noise has shape {np.shape(noise)}, x_t has {out.shape}")
+    if sigma > 0 and t_prev > 0:
+        if noise is None:
+            raise ValueError("stochastic ddim_step needs a noise array")
+        out = (out + sigma * noise).astype(out.dtype, copy=False)
+    return out
+
+
+def _ddim_mean(xt, eps_hat, t: int, t_prev: int, sigma: float,
+               sched: NoiseSchedule) -> np.ndarray:
+    """``ddim_step`` without its sigma * noise term, in the dtype of ``xt``.
+
+    The noise enters the update only as that last addition, so a caller may
+    add it later, a band at a time.
+    """
     if not 0 <= t_prev < t <= sched.T:
         raise ValueError(f"need 0 <= t_prev < t <= T, got t={t}, t_prev={t_prev}")
     # Python floats and math.sqrt, so the arithmetic stays in the arrays' dtype
@@ -99,18 +120,13 @@ def ddim_step(
 
     xt = np.asarray(xt)
     eps_hat = np.asarray(eps_hat)
-    for label, arr in (("eps_hat", eps_hat), ("noise", noise)):
-        if arr is not None and np.shape(arr) != xt.shape:
-            raise ValueError(f"{label} has shape {np.shape(arr)}, x_t has {xt.shape}")
+    if eps_hat.shape != xt.shape:
+        raise ValueError(f"eps_hat has shape {eps_hat.shape}, x_t has {xt.shape}")
     x0_hat = (xt - math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(ab_t)
     out = math.sqrt(ab_prev) * x0_hat
     direction = math.sqrt(max(1.0 - ab_prev - sigma**2, 0.0))
     if direction > 0:
         out = out + direction * eps_hat
-    if sigma > 0 and t_prev > 0:
-        if noise is None:
-            raise ValueError("stochastic ddim_step needs a noise array")
-        out = out + sigma * noise
     return out.astype(xt.dtype, copy=False)
 
 
@@ -131,8 +147,11 @@ def fuse(
     ``tile`` switches to overlapping-tile fusion (feather-blended) for scenes
     too large to denoise whole. Fusion is step-major: each tile keeps a state
     and all take DDIM step i before step i+1. Noise fields cover the whole
-    scene, so tiling does not change the per-pixel noise; each step's field
-    is drawn when the step runs, so memory does not grow with the step count.
+    scene, so tiling does not change the per-pixel noise. Each tile takes
+    the deterministic part of the step; once all have, the step's field is
+    drawn a band at a time and sigma times each band's crop is added to the
+    tile states, which is the same update as drawing the field first. The
+    draw order is fixed: the initial noise, then one field per noisy step.
     A network that predicts x0 (``cfg.prediction == "x0"``) has its output
     turned into the implied noise before each DDIM step. Output values are
     clamped to [0, 1].
@@ -173,11 +192,16 @@ def fuse(
     windows = [np.s_[:, :, :]] if tile is None else [
         np.s_[:, r:r + tile, c:c + tile] for r in _tile_starts(H, tile, tile_stride)
         for c in _tile_starts(W, tile, tile_stride)]
-    # one state per tile; crops are copied so that x_init is freed here, while
-    # the single whole-scene window is contiguous already and stays a view
-    x_init = _normal_field(rng, shape)
-    states = [np.ascontiguousarray(x_init[sl]) for sl in windows]
-    del x_init
+    # every tile has the same size. Each state is filled from the initial
+    # noise's bands as they are drawn, so no whole-scene draw exists. No
+    # state or band stays bound to a loop variable: it would outlive the
+    # step that replaced it, so loops index the states and bands are deleted
+    tile_shape = shape if tile is None else (cfg.bands, min(tile, H), min(tile, W))
+    states = [np.empty(tile_shape, dtype=np.float32) for _ in windows]
+    for b, band in enumerate(_normal_bands(rng, shape)):
+        for k, sl in enumerate(windows):
+            states[k][b] = band[sl[1:]]
+    del band
     # condition channels once at full resolution; tiles crop consistently
     y_up = bicubic_upsample(as_tensor(y_arr.astype(np.float32)), cfg.scale).data
     z_arr = z_arr.astype(np.float32)
@@ -185,7 +209,6 @@ def fuse(
     for i, t in enumerate(steps):
         t_prev = steps[i + 1] if i + 1 < len(steps) else 0
         sigma = ddim_sigma(sched, t, t_prev, sigma_mode)
-        field = _normal_field(rng, shape) if sigma_mode != "zero" and t_prev > 0 else None
         for k, sl in enumerate(windows):
             x = states[k]
             cond = concat_channels([as_tensor(x), as_tensor(z_arr[sl]), as_tensor(y_up[sl])])
@@ -194,26 +217,31 @@ def fuse(
                 raise ValueError(f"network output is non-finite at DDIM step t={t}")
             if cfg.prediction == "x0":
                 eps_hat = eps_from_x0(x, eps_hat, t, sched)
-            states[k] = ddim_step(x, eps_hat, t, t_prev, sigma, sched,
-                                  noise=None if field is None else field[sl])
-        del field  # before the next step draws its own
+            states[k] = _ddim_mean(x, eps_hat, t, t_prev, sigma, sched)
+        del x, cond, eps_hat
+        # the step's noise is the additive sigma * z of the update: drawn for
+        # the whole scene a band at a time once every tile has stepped, and
+        # drawn even where sigma is 0, so later steps see the same generator
+        if sigma_mode != "zero" and t_prev > 0:
+            for b, band in enumerate(_normal_bands(rng, shape)):
+                if sigma > 0:
+                    for k, sl in enumerate(windows):
+                        states[k][b] += sigma * band[sl[1:]]
+            del band
     del y_up, z_arr
 
     fused = states.pop() if tile is None else _blend(states, windows, shape, tile, tile_stride)
-    # clip in place and cast without a copy when already float32: the
-    # tiled blend is a float64 scene, so each temporary would be 2 cubes
-    fused = np.clip(fused, 0.0, 1.0, out=fused).astype(np.float32, copy=False)
+    np.clip(fused, 0.0, 1.0, out=fused)
     name = y.name if isinstance(y, HsiCube) else None
     return HsiCube(fused, value_range=(0.0, 1.0), name=name)
 
 
-def _normal_field(rng: np.random.Generator, shape) -> np.ndarray:
-    """``rng.normal(size=shape).astype(np.float32)`` with the same values, as the
-    generator fills C order, but drawn a band at a time: no float64 cube."""
-    out = np.empty(shape, dtype=np.float32)
-    for band in out:
-        band[...] = rng.normal(size=band.shape)
-    return out
+def _normal_bands(rng: np.random.Generator, shape):
+    """The bands of ``rng.normal(size=shape).astype(np.float32)``, one (H, W)
+    band at a time: the generator fills C order, so the values and the
+    generator's final state are those of the whole draw, with no cube."""
+    for _ in range(shape[0]):
+        yield rng.normal(size=shape[1:]).astype(np.float32)
 
 
 def _tile_starts(extent: int, tile: int, stride: int) -> list[int]:
@@ -221,15 +249,25 @@ def _tile_starts(extent: int, tile: int, stride: int) -> list[int]:
 
 
 def _blend(states, windows, shape, tile, stride) -> np.ndarray:
-    """Feathered float64 mean of the tile states in tile order; empties ``states``."""
+    """Feathered mean of the tile states as a float32 scene; empties ``states``.
+
+    Bands are blended one at a time: each accumulates in float64 in tile
+    order and is divided by the float64 weight map, so the result is the
+    whole-scene float64 blend cast to float32, without a float64 scene.
+    """
     i = np.arange(tile)  # weights ramp up and down over the tile - stride overlap
     win = np.minimum(1.0, np.minimum(i + 1, tile - i) / (tile - stride + 1.0))
-    acc = np.zeros(shape, dtype=np.float64)
+    w2d = np.outer(win[:states[0].shape[1]], win[:states[0].shape[2]])
     weight = np.zeros(shape[1:], dtype=np.float64)
     for sl in windows:
-        patch = states.pop(0)
-        w2d = np.outer(win[:patch.shape[1]], win[:patch.shape[2]])
-        acc[sl] += patch * w2d
         weight[sl[1:]] += w2d
-    acc /= np.maximum(weight, 1e-12)
-    return acc
+    np.maximum(weight, 1e-12, out=weight)
+    out = np.empty(shape, dtype=np.float32)
+    acc = np.empty(shape[1:], dtype=np.float64)
+    for b in range(shape[0]):
+        acc.fill(0.0)
+        for st, sl in zip(states, windows):
+            acc[sl[1:]] += st[b] * w2d
+        np.divide(acc, weight, out=out[b])
+    states.clear()
+    return out

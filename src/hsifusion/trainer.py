@@ -7,6 +7,7 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -15,7 +16,13 @@ import numpy as np
 from .autodiff import Tensor, backward, default_dtype, scale as t_scale
 from .checkpoint import save_checkpoint, load_checkpoint
 from .datacube import as_cube_array
-from .denoiser import DenoiserConfig, assemble_condition, init_params, predict_noise
+from .denoiser import (
+    DenoiserConfig,
+    _is_int,
+    assemble_condition,
+    init_params,
+    predict_noise,
+)
 from .diffusion import q_sample, simple_loss
 from .schedule import NoiseSchedule, linear_schedule
 
@@ -38,12 +45,22 @@ class TrainConfig:
     checkpoint_every: int = 10_000
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, low in (("iterations", 0), ("batch_size", 1), ("patch", 1), ("cycle", 1),
+                          ("loss_p", 1), ("T", 1), ("seed", 0), ("checkpoint_every", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValueError(f"train config '{name}' must be an integer >= {low}, "
+                                 f"got {value!r}")
+            setattr(self, name, int(value))
         if self.loss_p not in (1, 2):
-            raise ValueError("loss_p must be 1 or 2")
-        if self.iterations < 0 or self.cycle < 1:
-            raise ValueError("iterations must be >= 0 and cycle >= 1")
+            raise ValueError(f"train config 'loss_p' must be 1 or 2, got {self.loss_p!r}")
+        for name, high in (("lr_max", math.inf), ("beta_end", 1.0)):
+            value = getattr(self, name)
+            number = _is_int(value) or isinstance(value, (float, np.floating))
+            if not number or not 0.0 < value < high:
+                raise ValueError(f"train config '{name}' must be a number in (0, {high}), "
+                                 f"got {value!r}")
+            setattr(self, name, float(value))
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -354,6 +354,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("key,value", [("batch_size", "4"), ("iterations", None),
+                                           ("beta_end", 2.0)])
+    def test_mistyped_train_config_field_reported(self, dataset_on_disk, capsys, key, value):
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, entries[:1], [])
+        doc = json.loads(cfg_path.read_text())
+        doc["train"][key] = value
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"train config '{key}' must be" in err
+
     def test_missing_model_config_key_named(self, dataset_on_disk, capsys):
         tmp, entries = dataset_on_disk
         cfg_path = write_run_config(tmp, entries[:1], [])

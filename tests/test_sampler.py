@@ -181,12 +181,13 @@ def _tiled_fuse_peak(rng, peak_alloc, d: int) -> float:
     return mem.peak / out.data.nbytes
 
 
-def _whole_fuse_peak(fusion_setup, peak_alloc) -> float:
+def _whole_fuse_peak(fusion_setup, peak_alloc, sigma_mode="zero", d=2) -> float:
     """tracemalloc peak, in output cubes, of an untaped whole-scene fuse of
     the ``fusion_setup`` model."""
     cfg, params, sched, y, z = fusion_setup
     with peak_alloc() as mem:
-        out = fuse(params, cfg, sched, y, z, select_tau(40, 2), rng_seed=1)
+        out = fuse(params, cfg, sched, y, z, select_tau(40, d), sigma_mode=sigma_mode,
+                   rng_seed=1)
     return mem.peak / out.data.nbytes
 
 
@@ -309,6 +310,23 @@ class TestFuse:
         two, five = (_tiled_fuse_peak(rng, peak_alloc, d) for d in (2, 5))
         assert five - two <= 0.25, f"peak {two:.2f} cubes at d=2, {five:.2f} at d=5"
 
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_tiled_fusion_holds_no_scene_sized_noise_or_blend(self, rng, peak_alloc, d):
+        # 4.47 output cubes while each step drew a whole-scene noise field
+        # and the blend accumulated a float64 scene; 3.50 band by band
+        cubes = _tiled_fuse_peak(rng, peak_alloc, d)
+        assert cubes <= 4.0, f"tiled fuse peaked at {cubes:.2f} output cubes at d={d}"
+
+    def test_whole_posterior_fusion_draws_no_noise_cube(self, fusion_setup, peak_alloc):
+        # the posterior noise is added a band at a time; a whole-scene field
+        # cost 1.00 output cube more than the noise-free fuse. The first
+        # fuse of a process peaks about 1.7 cubes higher, so one runs first
+        _whole_fuse_peak(fusion_setup, peak_alloc, "posterior", d=5)
+        zero, posterior = (_whole_fuse_peak(fusion_setup, peak_alloc, mode, d=5)
+                           for mode in ("zero", "posterior"))
+        assert posterior - zero <= 0.25, (
+            f"posterior fuse peaked at {posterior:.2f} output cubes, zero mode at {zero:.2f}")
+
 
 class TestStepMajorFusion:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 7), (31, 16, 24)])
@@ -316,7 +334,7 @@ class TestStepMajorFusion:
         # the same values as one float64 draw cast to float32, and the
         # generator is left in the same state for the next field
         got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
-        got = sampler_mod._normal_field(got_rng, shape)
+        got = np.stack(list(sampler_mod._normal_bands(got_rng, shape)))
         want = want_rng.normal(size=shape).astype(np.float32)
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
         assert got_rng.normal() == want_rng.normal()

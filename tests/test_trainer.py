@@ -37,6 +37,23 @@ def tiny_dataset(rng, n=3, bands=2, size=8, scale=2):
     return observed_triples(cubes, obs)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", "4"), ("iterations", None), ("patch", "x"), ("patch", 0),
+        ("lr_max", "a"), ("lr_max", 0.0), ("lr_max", float("nan")), ("T", 0), ("seed", 1.5),
+        ("seed", -1), ("checkpoint_every", -1), ("beta_end", 2.0), ("beta_end", None),
+        ("cycle", 0), ("loss_p", 3), ("loss_p", True), ("batch_size", True),
+    ])
+    def test_bad_value_named(self, key, value):
+        with pytest.raises(ValueError, match=f"train config '{key}' must be"):
+            TrainConfig.from_dict({key: value})
+
+    def test_numpy_scalars_become_python_numbers(self):
+        cfg = TrainConfig(batch_size=np.int64(2), lr_max=np.float32(0.5), beta_end=np.float64(0.1))
+        assert type(cfg.batch_size) is int and type(cfg.lr_max) is float
+        assert cfg.lr_max == 0.5 and cfg.beta_end == 0.1
+
+
 class TestCosineLr:
     def test_starts_at_maximum(self):
         assert cosine_lr(0, 1e-4, 50_000) == pytest.approx(1e-4)
@@ -309,12 +326,13 @@ class TestTapeMemory:
 
     def test_network_records_one_node_per_layer(self, rng, op_outputs):
         # 94 nodes when every conv bias and every SiLU after a norm was a
-        # node of its own
+        # node of its own, 65 when each residual block applied the SiLU of
+        # the time embedding anew
         params = init_params(self.CFG, rng)
         cond = self._cond(rng)
         del op_outputs[:]
         predict_noise(params, self.CFG, cond, 3)
-        assert sum(out.requires_grad for out in op_outputs) == 65
+        assert sum(out.requires_grad for out in op_outputs) == 60
 
     def test_live_graph_of_one_evaluation(self, rng, peak_alloc):
         # 3.36 MB when the conv biases and the SiLUs after the norms each
