@@ -92,9 +92,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
 
-    def backward(self) -> None:
-        backward(self)
-
     # -- operator sugar (elementwise, same shape or scalar) -------------
 
     def __add__(self, other):

@@ -24,7 +24,7 @@ from .denoiser import DenoiserConfig, param_count
 from .metrics import FusionReport
 from .sampler import fuse, select_tau
 from .schedule import linear_schedule
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, _check_patch, train
 
 
 @dataclass
@@ -47,12 +47,7 @@ def load_run_config(path) -> RunConfig:
             raise ValueError(f"{path}: run config missing section '{section}'")
     model = DenoiserConfig.from_dict(raw["model"])
     train_cfg = TrainConfig.from_dict(raw["train"])
-    if train_cfg.patch % model.scale:
-        raise ValueError(
-            f"{path}: patch {train_cfg.patch} not divisible by scale {model.scale}"
-        )
-    if train_cfg.patch % 2 ** (model.levels - 1):
-        raise ValueError(f"{path}: patch {train_cfg.patch} conflicts with model levels")
+    _check_patch(train_cfg.patch, model)
     data = raw["data"]
     for split in ("train", "test"):
         for entry in data.get(split, []):
@@ -273,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--steps", type=int, default=1)
     s.add_argument("--sigma", choices=("zero", "posterior"), default="zero")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--tile", type=int, default=None)
+    s.add_argument("--tile", type=int, default=None,
+                   help="fuse in overlapping tiles of this side; untiled memory grows "
+                        "with the square of the pixel count")
     s.add_argument("--tile-stride", type=int, default=48)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_fuse)

@@ -48,11 +48,13 @@ class HsiCube:
         if self.data.ndim != 3:
             raise ValueError(f"cube data must be 3-D (bands, H, W), got {self.data.shape}")
         lo, hi = self.value_range
-        if not lo < hi:
-            raise ValueError(f"value_range must satisfy lo < hi, got {self.value_range}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"value_range must be finite with lo < hi, got {self.value_range}")
         self.value_range = (float(lo), float(hi))
         if self.wavelengths_nm is not None:
             self.wavelengths_nm = [float(v) for v in self.wavelengths_nm]
+            if not all(map(math.isfinite, self.wavelengths_nm)):
+                raise ValueError(f"wavelengths must be finite, got {self.wavelengths_nm}")
             if len(self.wavelengths_nm) != self.bands:
                 raise ValueError(
                     f"{len(self.wavelengths_nm)} wavelengths for {self.bands} bands"
@@ -115,13 +117,14 @@ def _read_header(raw: bytes, path, error, required, counts=()) -> dict:
 
 
 def _is_number(v) -> bool:
-    return type(v) in (int, float)  # never a bool
+    # never a bool, nor the Infinity and NaN that Python's json reads
+    return type(v) is int or (type(v) is float and math.isfinite(v))
 
 
 def _check_fields(obj, where, error, required=(), counts=(), numbers=()) -> dict:
     """Check that ``obj`` is a JSON object with every key of ``required``, a
-    non-negative int under each of ``counts`` and an int or float under each
-    of ``numbers`` (never a bool); else raise ``error`` naming ``where``."""
+    non-negative int under each of ``counts`` and a finite int or float under
+    each of ``numbers`` (never a bool); else raise ``error`` naming ``where``."""
     if not isinstance(obj, dict):
         raise error(f"{where} is not a JSON object")
     missing = [k for k in (*required, *counts, *numbers) if k not in obj]

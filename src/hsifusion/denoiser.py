@@ -118,19 +118,10 @@ class DenoiserConfig:
     def to_dict(self) -> dict:
         """Plain-JSON form. ``prediction`` appears only when it is not the
         default, so eps checkpoints and run configs keep their old bytes."""
-        d = {
-            "bands": self.bands,
-            "msi_bands": self.msi_bands,
-            "scale": self.scale,
-            "base_channels": self.base_channels,
-            "channel_multipliers": list(self.channel_multipliers),
-            "attention_levels": list(self.attention_levels),
-            "time_embed_dim": self.time_embed_dim,
-            "groups": self.groups,
-        }
-        if self.prediction != "eps":
-            d["prediction"] = self.prediction
-        return d
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if d["prediction"] == "eps":
+            del d["prediction"]
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenoiserConfig":

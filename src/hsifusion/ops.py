@@ -24,7 +24,8 @@ intermediate map alive on the tape: ``conv2d(..., bias=b)`` adds the
 per-channel bias while it writes its output, and
 ``group_norm(..., silu=True)`` applies y * sigmoid(y) to the normalized map
 in place. Both are bitwise equal, output and gradients, to the two-op chains
-``add_channel_bias(conv2d(...), b)`` and ``silu(group_norm(...))``.
+``add_channel_bias(conv2d(...), b)`` and ``silu(group_norm(...))``: the
+sigmoid of both SiLUs is the one ``_sigmoid``.
 
 What each adjoint's closure keeps alive until backward reaches it, beyond
 its parent tensors (whose buffers the tape holds anyway):
@@ -38,8 +39,8 @@ its parent tensors (whose buffers the tape holds anyway):
   rebuilding it would cost a tanh pass in every adjoint.
 - ``self_attention``: the token view, q, k, v, p and the attended values.
 - ``bicubic_upsample``: its two interpolation matrices, (h*S, h) and (w*S, w).
-- ``upsample_nearest``, ``downsample_stride``, ``dense``, ``add_channel_bias``
-  and ``concat_channels``: nothing.
+- ``upsample_nearest``, ``dense``, ``add_channel_bias`` and
+  ``concat_channels``: nothing.
 """
 
 from __future__ import annotations
@@ -220,20 +221,6 @@ def upsample_nearest(x, scale: int = 2) -> Tensor:
     return from_op(out, (x,), bwd)
 
 
-def downsample_stride(x, stride: int = 2) -> Tensor:
-    """Keep every ``stride``-th pixel; adjoint scatters back with zero fill."""
-    x = as_tensor(x)
-    _require_chw(x, "downsample_stride")
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, ::stride, ::stride] = g
-            x.accumulate_grad(gx)
-
-    return from_op(np.ascontiguousarray(x.data[:, ::stride, ::stride]), (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Normalization and activations
 # ---------------------------------------------------------------------------
@@ -268,11 +255,8 @@ def group_norm(x, groups: int, gamma, beta, silu: bool = False) -> Tensor:
     out *= channel_scale()
     out += beta.data[:, None, None]
     sig = None
-    if silu:  # _sigmoid's arithmetic, in one buffer
-        sig = np.multiply(out, 0.5)
-        np.tanh(sig, out=sig)
-        sig *= 0.5
-        sig += 0.5
+    if silu:
+        sig = _sigmoid(out)
         out *= sig
 
     def bwd(g):
@@ -306,8 +290,12 @@ def group_norm(x, groups: int, gamma, beta, silu: bool = False) -> Tensor:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # tanh is bounded, so no input overflows
-    return 0.5 + 0.5 * np.tanh(0.5 * v)
+    # 0.5 + 0.5 * tanh(0.5 * v) in one buffer; tanh is bounded, so no input overflows
+    sig = np.multiply(v, 0.5)
+    np.tanh(sig, out=sig)
+    sig *= 0.5
+    sig += 0.5
+    return sig
 
 
 def silu(x) -> Tensor:
@@ -327,28 +315,23 @@ def silu(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def dense(x, weight, bias=None) -> Tensor:
+def dense(x, weight, bias) -> Tensor:
     """Affine map of a vector: weight (m, n) @ x (n,) + bias (m,)."""
-    x, weight = as_tensor(x), as_tensor(weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.data.ndim != 1 or weight.data.ndim != 2 or weight.shape[1] != x.shape[0]:
         raise ValueError(f"dense: incompatible shapes {weight.shape} @ {x.shape}")
-    out = weight.data @ x.data
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (weight.shape[0],):
-            raise ValueError(f"dense: bias shape {bias.shape} != ({weight.shape[0]},)")
-        out = out + bias.data
+    if bias.shape != (weight.shape[0],):
+        raise ValueError(f"dense: bias shape {bias.shape} != ({weight.shape[0]},)")
 
     def bwd(g):
         if weight.requires_grad:
             weight.accumulate_grad(np.outer(g, x.data))
         if x.requires_grad:
             x.accumulate_grad(weight.data.T @ g)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias.accumulate_grad(g)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return from_op(out, parents, bwd)
+    return from_op(weight.data @ x.data + bias.data, (x, weight, bias), bwd)
 
 
 def add_channel_bias(x, bias) -> Tensor:

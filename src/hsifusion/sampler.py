@@ -3,13 +3,15 @@
 A fused image starts as pure Gaussian noise at the few-band image's
 resolution and is denoised over a sub-sequence of timesteps, conditioning on
 the two observed images at every step. With sigma = 0 the update is
-deterministic given the initial noise. Fusion runs step-major: every tile (or
-the one whole-scene window) takes a step before any takes the next. Noise
+deterministic given the initial noise. Untiled fusion is one window that
+covers the whole scene, and it runs the same loop as tiled fusion. Fusion
+runs step-major: every window takes a step before any takes the next. Noise
 never exists as a whole-scene cube: the initial noise and each step's
-posterior noise are drawn one band at a time, the band's tile crops written
-into (or added to) the tile states, and the tiles are blended band by band.
-Memory therefore scales with the tile states and one band, not with the
-step count or a float64 scene.
+posterior noise are drawn one band at a time, the band's window crops
+written into (or added to) the window states, and several windows are
+blended band by band. Memory therefore scales with the window states and
+one band, not with the step count or a float64 scene; the network's own
+memory does not, as ``fuse`` says.
 """
 
 from __future__ import annotations
@@ -145,16 +147,23 @@ def fuse(
     """Run the reverse process on an observed pair and return the fused cube.
 
     ``tile`` switches to overlapping-tile fusion (feather-blended) for scenes
-    too large to denoise whole. Fusion is step-major: each tile keeps a state
-    and all take DDIM step i before step i+1. Noise fields cover the whole
-    scene, so tiling does not change the per-pixel noise. Each tile takes
-    the deterministic part of the step; once all have, the step's field is
-    drawn a band at a time and sigma times each band's crop is added to the
-    tile states, which is the same update as drawing the field first. The
-    draw order is fixed: the initial noise, then one field per noisy step.
-    A network that predicts x0 (``cfg.prediction == "x0"``) has its output
-    turned into the implied noise before each DDIM step. Output values are
-    clamped to [0, 1].
+    too large to denoise whole. Untiled memory grows with the square of the
+    scene's pixel count: the network's bottleneck attention (``mid.attn``)
+    runs whatever ``cfg.attention_levels`` says, and its logits hold one
+    value per pair of bottleneck pixels. Untiled fusion is one window over
+    the whole scene, and so is a tile at least the scene's size; a single
+    window's state is the result, with no blend.
+
+    Fusion is step-major: each window keeps a state and all take DDIM step
+    i before step i+1. Noise fields cover the whole scene, so tiling does
+    not change the per-pixel noise. Each window takes the deterministic
+    part of the step; once all have, the step's field is drawn a band at a
+    time and sigma times each band's crop is added to the window states,
+    which is the same update as drawing the field first. The draw order is
+    fixed: the initial noise, then one field per noisy step. A network that
+    predicts x0 (``cfg.prediction == "x0"``) has its output turned into the
+    implied noise before each DDIM step. Output values are clamped to
+    [0, 1].
 
     The network runs on constant views of ``params``, so inference records
     no tape and the caller's tensors are left as they are. Non-finite values
@@ -192,12 +201,11 @@ def fuse(
     windows = [np.s_[:, :, :]] if tile is None else [
         np.s_[:, r:r + tile, c:c + tile] for r in _tile_starts(H, tile, tile_stride)
         for c in _tile_starts(W, tile, tile_stride)]
-    # every tile has the same size. Each state is filled from the initial
-    # noise's bands as they are drawn, so no whole-scene draw exists. No
-    # state or band stays bound to a loop variable: it would outlive the
-    # step that replaced it, so loops index the states and bands are deleted
-    tile_shape = shape if tile is None else (cfg.bands, min(tile, H), min(tile, W))
-    states = [np.empty(tile_shape, dtype=np.float32) for _ in windows]
+    # each state has its window's size and is filled from the initial noise's
+    # bands as they are drawn, so no whole-scene draw exists. No state or
+    # band stays bound to a loop variable: it would outlive the step that
+    # replaced it, so loops index the states and bands are deleted
+    states = [np.empty((cfg.bands, *z_arr[sl].shape[1:]), dtype=np.float32) for sl in windows]
     for b, band in enumerate(_normal_bands(rng, shape)):
         for k, sl in enumerate(windows):
             states[k][b] = band[sl[1:]]
@@ -206,8 +214,7 @@ def fuse(
     y_up = bicubic_upsample(as_tensor(y_arr.astype(np.float32)), cfg.scale).data
     z_arr = z_arr.astype(np.float32)
     steps = tau.steps[::-1]
-    for i, t in enumerate(steps):
-        t_prev = steps[i + 1] if i + 1 < len(steps) else 0
+    for t, t_prev in zip(steps, steps[1:] + (0,)):
         sigma = ddim_sigma(sched, t, t_prev, sigma_mode)
         for k, sl in enumerate(windows):
             x = states[k]
@@ -230,7 +237,7 @@ def fuse(
             del band
     del y_up, z_arr
 
-    fused = states.pop() if tile is None else _blend(states, windows, shape, tile, tile_stride)
+    fused = states.pop() if len(states) == 1 else _blend(states, windows, shape, tile, tile_stride)
     np.clip(fused, 0.0, 1.0, out=fused)
     name = y.name if isinstance(y, HsiCube) else None
     return HsiCube(fused, value_range=(0.0, 1.0), name=name)

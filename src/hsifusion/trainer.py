@@ -27,6 +27,10 @@ from .diffusion import q_sample, simple_loss
 from .schedule import NoiseSchedule, linear_schedule
 
 
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
 class TrainingError(RuntimeError):
     """Raised when optimization cannot continue (for example non-finite loss)."""
 
@@ -56,8 +60,7 @@ class TrainConfig:
             raise ValueError(f"train config 'loss_p' must be 1 or 2, got {self.loss_p!r}")
         for name, high in (("lr_max", math.inf), ("beta_end", 1.0)):
             value = getattr(self, name)
-            number = _is_int(value) or isinstance(value, (float, np.floating))
-            if not number or not 0.0 < value < high:
+            if not _is_real(value) or not 0.0 < value < high:
                 raise ValueError(f"train config '{name}' must be a number in (0, {high}), "
                                  f"got {value!r}")
             setattr(self, name, float(value))
@@ -84,6 +87,17 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        if not _is_int(self.step) or self.step < 0:
+            raise ValueError(f"optimizer 'step' must be an integer >= 0, got {self.step!r}")
+        self.step = int(self.step)
+        for name, what, ok in (("beta1", "a number in [0, 1)", lambda v: 0.0 <= v < 1.0),
+                               ("beta2", "a number in [0, 1)", lambda v: 0.0 <= v < 1.0),
+                               ("eps", "a finite number > 0", lambda v: 0.0 < v < math.inf)):
+            value = getattr(self, name)
+            if not (_is_real(value) and ok(value)):
+                raise ValueError(f"optimizer '{name}' must be {what}, got {value!r}")
+
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
         return cls(
@@ -97,7 +111,7 @@ class AdamState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AdamState":
-        return cls(m=d["m"], v=d["v"], step=int(d["step"]),
+        return cls(m=d["m"], v=d["v"], step=d["step"],
                    beta1=d["beta1"], beta2=d["beta2"], eps=d["eps"])
 
 
@@ -205,6 +219,14 @@ def _stream_rng(seed: int, stream: int, step: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, step]))
 
 
+def _check_patch(patch: int, model_cfg: DenoiserConfig) -> None:
+    # a patch must hold whole low-resolution pixels and survive every downsample
+    down = 2 ** (model_cfg.levels - 1)
+    if patch % model_cfg.scale or patch % down:
+        raise ValueError(f"patch {patch} not divisible by scale {model_cfg.scale} "
+                         f"and by 2^(levels-1) = {down}")
+
+
 def train(
     train_cfg: TrainConfig,
     model_cfg: DenoiserConfig,
@@ -221,14 +243,7 @@ def train(
     """
     if not len(dataset):
         raise ValueError("training dataset is empty")
-    if train_cfg.patch % model_cfg.scale:
-        raise ValueError(
-            f"patch {train_cfg.patch} not divisible by scale {model_cfg.scale}"
-        )
-    if train_cfg.patch % 2 ** (model_cfg.levels - 1):
-        raise ValueError(
-            f"patch {train_cfg.patch} not divisible by 2^(levels-1)"
-        )
+    _check_patch(train_cfg.patch, model_cfg)
 
     os.makedirs(out_dir, exist_ok=True)
     sched = linear_schedule(train_cfg.T, train_cfg.beta_end)

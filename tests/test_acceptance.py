@@ -150,7 +150,6 @@ def test_criterion_3_gradients(f64):
     yc = Tensor(rng.normal(size=(1, 3, 3)), requires_grad=True)
     assert_grads_match(lambda: sq(ops.concat_channels([xc, yc])), [xc, yc])
     assert_grads_match(lambda: sq(ops.upsample_nearest(xc, 2)), [xc])
-    assert_grads_match(lambda: sq(ops.downsample_stride(xc, 2)), [xc])
 
     xd = Tensor(rng.normal(size=(4,)), requires_grad=True)
     wd = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

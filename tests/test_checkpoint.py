@@ -169,6 +169,8 @@ _OPTIMIZER_EDITS = {
                    "'optimizer' has 'beta1' True, not a number"),
     "beta2-string": (lambda h: h["optimizer"].update(beta2="0.999"),
                      "'optimizer' has 'beta2' '0.999', not a number"),
+    "beta1-nan": (lambda h: h["optimizer"].update(beta1=float("nan")),
+                  "'optimizer' has 'beta1' nan, not a number"),
     "optimizer-step-fractional": (lambda h: h["optimizer"].update(step=2.5),
                                   "'optimizer' has 'step' 2.5, not a non-negative integer"),
     "optimizer-step-negative": (lambda h: h["optimizer"].update(step=-1),

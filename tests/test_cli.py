@@ -135,6 +135,7 @@ class TestEval:
         ("value_range", None, "header has 'value_range' None, not a list of two numbers"),
         ("value_range", [0, 1, 2], "'value_range' [0, 1, 2], not a list of two numbers"),
         ("wavelengths_nm", "x", "header has 'wavelengths_nm' 'x', not a list of numbers"),
+        ("value_range", [0, float("inf")], "'value_range' [0, inf], not a list of two numbers"),
     ])
     def test_bad_header_metadata_reported(self, workspace, capsys, field, value, message):
         tmp, gt, srf, cube = workspace
@@ -365,6 +366,19 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"train config '{key}' must be" in err
+
+    def test_resume_with_bad_adam_hyperparameter_reported(self, dataset_on_disk, capsys):
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, entries[:1], [])
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        final = tmp / "run" / "checkpoint_final.ckpt"
+        ckpt = load_checkpoint(final)
+        save_checkpoint(final, ckpt.config, ckpt.params, {**ckpt.opt_state, "beta1": -1.0},
+                        ckpt.step, schedule=ckpt.schedule)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--resume", str(final)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "optimizer 'beta1' must be" in err
 
     def test_missing_model_config_key_named(self, dataset_on_disk, capsys):
         tmp, entries = dataset_on_disk

@@ -20,6 +20,13 @@ class TestHsiCube:
         with pytest.raises(ValueError, match="wavelengths"):
             HsiCube(rng.random((3, 2, 2)), wavelengths_nm=[400, 500])
 
+    @pytest.mark.parametrize("kw", [dict(value_range=(0.0, np.inf)),
+                                    dict(value_range=(np.nan, 1.0)),
+                                    dict(wavelengths_nm=[400.0, np.nan])])
+    def test_non_finite_metadata_rejected(self, rng, kw):
+        with pytest.raises(ValueError, match="finite"):
+            HsiCube(rng.random((2, 2, 2)), **kw)
+
 
 class TestRoundTrip:
     def test_failed_write_keeps_old_file(self, rng, tmp_path, full_disk):
@@ -123,6 +130,10 @@ class TestValidation:
         ("wavelengths_nm", "400", "a list of numbers"),
         ("wavelengths_nm", [400, None], "a list of numbers"),
         ("wavelengths_nm", {"0": 400}, "a list of numbers"),
+        # Python's json reads Infinity and NaN; a header must not carry them
+        ("value_range", [0, float("inf")], "a list of two numbers"),
+        ("value_range", [float("nan"), 1], "a list of two numbers"),
+        ("wavelengths_nm", [400, float("-inf")], "a list of numbers"),
     ])
     def test_metadata_must_be_numbers(self, tmp_path, field, value, what):
         p = tmp_path / "bad.hsic"

@@ -342,12 +342,6 @@ class TestResampling:
     def test_down_then_up_gradients(self, f64, rng):
         x = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.upsample_nearest(x, 2)), [x])
-        assert_grads_match(lambda: _sq_loss(ops.downsample_stride(x, 2)), [x])
-
-    def test_downsample_picks_strided_grid(self, rng):
-        x = rng.normal(size=(1, 6, 6)).astype(np.float32)
-        out = ops.downsample_stride(Tensor(x), 3).data
-        np.testing.assert_array_equal(out, x[:, ::3, ::3])
 
 
 class TestFusedLayers:
@@ -434,7 +428,7 @@ class TestComposedPipeline:
         def run():
             h = ops.conv2d(Tensor(x), Tensor(k), padding=1)
             h = ops.silu(h)
-            return ops.downsample_stride(h, 2).data.copy()
+            return ops.upsample_nearest(h, 2).data.copy()
 
         assert np.array_equal(run(), run())
 
@@ -493,7 +487,6 @@ class TestFloatWidth:
             "bicubic_weight_matrix": ops.bicubic_weight_matrix(6, 2, dtype=np.float32),
             "bicubic_upsample": ops.bicubic_upsample(x, 2),
             "upsample_nearest": ops.upsample_nearest(x, 2),
-            "downsample_stride": ops.downsample_stride(x, 2),
             "group_norm": ops.group_norm(x, 2, t(4), t(4)),
             "group_norm silu": ops.group_norm(x, 2, t(4), t(4), silu=True),
             "silu": ops.silu(x),

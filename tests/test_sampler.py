@@ -352,6 +352,17 @@ class TestStepMajorFusion:
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("sigma_mode", ["zero", "posterior"])
+    @pytest.mark.parametrize("tile", [16, 32])
+    def test_one_covering_tile_is_untiled_bitwise(self, fusion_setup, tile, sigma_mode):
+        # a tile at least the scene's size is one window, as untiled fusion is
+        cfg, params, sched, y, z = fusion_setup
+        kw = dict(sigma_mode=sigma_mode, rng_seed=8)
+        whole = fuse(params, cfg, sched, y, z, select_tau(40, 3), **kw).data
+        tiled = fuse(params, cfg, sched, y, z, select_tau(40, 3), tile=tile, tile_stride=8,
+                     **kw).data
+        assert tiled.tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("tile,stride", [(16, 16), (32, 8), (8, 8), (8, 1)])
     def test_tilings_match_tile_major_bitwise(self, fusion_setup, tile, stride):
         # one tile the size of the scene, one larger, a partition, a dense overlap

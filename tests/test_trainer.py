@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hsifusion.checkpoint import load_checkpoint
+from hsifusion.checkpoint import load_checkpoint, save_checkpoint
 from hsifusion.datacube import HsiCube
 from hsifusion.degrade import ObservationModel, spatial_degrade, uniform_band_groups
 from hsifusion.denoiser import DenoiserConfig, assemble_condition, init_params, predict_noise
@@ -102,6 +102,15 @@ class TestAdam:
         vhat = v2 / (1 - b2**2)
         expected2 = expected1 - lr * mhat / (np.sqrt(vhat) + eps)
         assert w.data[0] == pytest.approx(expected2, abs=1e-10)
+
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", -1.0), ("beta1", 1.5), ("beta1", float("nan")), ("beta1", "0.9"),
+        ("beta2", 1.0), ("eps", 0.0), ("eps", float("inf")), ("eps", float("nan")),
+        ("step", -1), ("step", 2.5), ("step", True),
+    ])
+    def test_bad_hyperparameter_named(self, field, value):
+        with pytest.raises(ValueError, match=f"optimizer '{field}' must be"):
+            AdamState(m={}, v={}, **{field: value})
 
     def test_moments_shaped_like_params(self, rng):
         cfg = tiny_model()
@@ -407,6 +416,17 @@ class TestTrainLoop:
         save_checkpoint(p, cfg, params, opt_state=None, step=5)
         with pytest.raises(ValueError, match="optimizer"):
             train(self._cfg(6), cfg, tiny_dataset(rng), tmp_path / "r", resume_from=p)
+
+    @pytest.mark.parametrize("beta1", [-1.0, 1.5])
+    def test_resume_refuses_bad_adam_hyperparameters(self, rng, tmp_path, beta1):
+        # outside [0, 1), beta1 drives Adam's moments and the weights non-finite
+        ds = tiny_dataset(rng)
+        path = train(self._cfg(2), tiny_model(), ds, tmp_path / "a")
+        ckpt = load_checkpoint(path)
+        save_checkpoint(path, ckpt.config, ckpt.params, {**ckpt.opt_state, "beta1": beta1},
+                        ckpt.step, schedule=ckpt.schedule)
+        with pytest.raises(ValueError, match="optimizer 'beta1' must be"):
+            train(self._cfg(4), tiny_model(), ds, tmp_path / "b", resume_from=path)
 
     def test_resume_refuses_other_estimator(self, rng, tmp_path):
         ds = tiny_dataset(rng)
