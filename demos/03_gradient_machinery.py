@@ -1,6 +1,8 @@
 """Poke at the autodiff core: tape, adjoints, finite-difference agreement.
 
 Everything the denoiser trains with reduces to the primitives shown here.
+The tensors are float64 because their arrays are: finite differences need
+the precision.
 """
 
 import numpy as np
@@ -9,7 +11,6 @@ import hsifusion.autodiff as ad
 from hsifusion.autodiff import Tensor, backward
 from hsifusion import ops
 
-ad.set_default_dtype(np.float64)
 rng = np.random.default_rng(3)
 
 # the residual-block layers as the denoiser runs them, each one tape node:
@@ -68,5 +69,3 @@ backward(loss_fn())
 g1 = np.linalg.norm(x.grad)
 backward(loss_fn())
 print(f"\naccumulation: one pass {g1:.5f}, two passes {np.linalg.norm(x.grad):.5f}")
-
-ad.set_default_dtype(np.float32)

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, backward, default_dtype, set_default_dtype
+from .autodiff import Tensor, backward
 from .datacube import CubeFormatError, HsiCube, read_cube, write_cube
 from .degrade import (
     ObservationModel,
@@ -54,7 +54,6 @@ __all__ = [
     "cosine_lr",
     "ddim_sigma",
     "ddim_step",
-    "default_dtype",
     "ergas",
     "fuse",
     "init_params",
@@ -77,7 +76,6 @@ __all__ = [
     "sample_patch",
     "save_checkpoint",
     "select_tau",
-    "set_default_dtype",
     "simple_loss",
     "simulate_observations",
     "spatial_degrade",

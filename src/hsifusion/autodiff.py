@@ -10,35 +10,20 @@ Only leaves (tensors made with ``requires_grad=True`` rather than by an
 operation) keep ``grad``. A graph can be walked once; a second ``backward``
 through a consumed node raises ``RuntimeError``.
 
-Two float widths are supported. Training and inference default to float32;
-verification (finite-difference gradient checking) switches the default to
-float64 via ``set_default_dtype``, because central differences are unreliable
-in single precision.
+Two float widths are supported, and the width is the tensors': a float32 or
+float64 array keeps its width and anything else becomes float32. Training and
+inference run in float32; finite-difference gradient checks pass float64
+arrays, because central differences are unreliable in single precision.
 
-The width is a property of the tensors, never of a scalar: a scalar constant
-(``scale``, the scalar form of ``add`` and ``mul``) takes the dtype of the
-tensor it meets. A NumPy float64 scalar, such as ``1 / np.sqrt(c)``, would
-otherwise promote a float32 tensor to float64 under NumPy 2's rules (NEP 50).
+A scalar never sets the width: a scalar constant (``scale``, the scalar
+form of ``add`` and ``mul``) takes the dtype of the tensor it meets. A NumPy
+float64 scalar, such as ``1 / np.sqrt(c)``, would otherwise promote a float32
+tensor to float64 under NumPy 2's rules (NEP 50).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_default_dtype = np.float32
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for newly created tensors (float32 or float64)."""
-    global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    _default_dtype = dtype.type
-
-
-def default_dtype():
-    return _default_dtype
 
 
 class Tensor:
@@ -49,7 +34,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None:
             held = getattr(data, "dtype", None)
-            dtype = held.type if held in (np.float32, np.float64) else _default_dtype
+            dtype = held.type if held in (np.float32, np.float64) else np.float32
         self.data = np.ascontiguousarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint
-from .datacube import HsiCube, _atomic_write_text, read_cube, write_cube
+from .datacube import HsiCube, _atomic_write_text, _check_fields, read_cube, write_cube
 from .degrade import ObservationModel, load_srf, simulate_observations
 from .denoiser import DenoiserConfig, param_count
 from .metrics import FusionReport
@@ -41,21 +41,25 @@ class RunConfig:
 
 def load_run_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    for section in ("model", "train", "data"):
-        if section not in raw:
-            raise ValueError(f"{path}: run config missing section '{section}'")
+        raw = _check_fields(json.load(fh), f"{path}: run config", ValueError,
+                            ("model", "train", "data"))
+    for section in ("model", "train", "data", "sampler"):
+        if section in raw:
+            _check_fields(raw[section], f"{path}: run config '{section}'", ValueError)
     model = DenoiserConfig.from_dict(raw["model"])
     train_cfg = TrainConfig.from_dict(raw["train"])
     _check_patch(train_cfg.patch, model)
     data = raw["data"]
     for split in ("train", "test"):
-        for entry in data.get(split, []):
+        entries = data.get(split, [])
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: run config data '{split}' is not a JSON list")
+        for i, entry in enumerate(entries):
+            _check_fields(entry, f"{path}: {split} entry {i}", ValueError,
+                          ("hrhsi", "lrhsi", "hrmsi"))
             for key in ("hrhsi", "lrhsi", "hrmsi"):
-                if key not in entry:
-                    raise ValueError(f"{path}: {split} entry missing '{key}'")
-                if not os.path.exists(entry[key]):
-                    raise ValueError(f"{path}: referenced path does not exist: {entry[key]}")
+                if not isinstance(entry[key], str) or not os.path.exists(entry[key]):
+                    raise ValueError(f"{path}: referenced path does not exist: {entry[key]!r}")
     return RunConfig(
         model=model,
         train=train_cfg,

@@ -40,7 +40,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, default_dtype
+from .autodiff import Tensor, as_tensor
 from .ops import (
     add_channel_bias,
     bicubic_upsample,
@@ -137,7 +137,7 @@ class DenoiserConfig:
 
 def time_embedding(t: int, dim: int, T: int | None = None) -> np.ndarray:
     """Sinusoidal timestep embedding: e[2i] = sin(t / 10000^(2i/dim)),
-    e[2i+1] = cos of the same argument. t = 0 is allowed as a probe value."""
+    e[2i+1] = cos of the same argument, in float64. t = 0 is allowed as a probe value."""
     if dim % 2 != 0:
         raise ValueError(f"embedding dim must be even, got {dim}")
     if t < 0 or (T is not None and t > T):
@@ -147,7 +147,7 @@ def time_embedding(t: int, dim: int, T: int | None = None) -> np.ndarray:
     e = np.empty(dim, dtype=np.float64)
     e[0::2] = np.sin(angles)
     e[1::2] = np.cos(angles)
-    return e.astype(default_dtype())
+    return e
 
 
 def assemble_condition(xt, y, z) -> Tensor:
@@ -224,15 +224,15 @@ class _ParamView:
             )
 
 
-def init_params(cfg: DenoiserConfig, rng: np.random.Generator, dtype=None) -> dict[str, Tensor]:
-    """Freshly initialized parameter map for ``cfg``.
+def init_params(cfg: DenoiserConfig, rng: np.random.Generator,
+                dtype=np.float32) -> dict[str, Tensor]:
+    """Freshly initialized parameter map for ``cfg``, in ``dtype``.
 
     The forward pass creates the parameters as it takes them, run once on a
     zero input of the smallest size the config accepts. Convolutions are
     Kaiming-uniform except the output head, which starts at zero so the
     initial prediction is exactly zero.
     """
-    dtype = dtype or default_dtype()
     p = _ParamView({}, rng, dtype)
     side = 2 ** (cfg.levels - 1)
     _forward(p, cfg, Tensor(np.zeros((cfg.in_channels, side, side)), dtype=dtype), 0)

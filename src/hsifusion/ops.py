@@ -6,7 +6,7 @@ backpropagates its share of the batch-mean loss and only then builds the
 next, so one item's graph is on the tape at a time.
 
 Every primitive here is exercised by a central finite-difference gradient
-check in the test suite (float64 mode).
+check in the test suite, on float64 tensors.
 
 ``conv2d`` builds no im2col matrix. It writes the padded input once into
 stride² phase images; each kernel tap then reads one contiguous flat slice of

@@ -1,6 +1,6 @@
 """Noise schedule: per-step variances and everything derived from them.
 
-Arrays are float64 regardless of the tensor default; the late-schedule
+Arrays are float64 whatever the tensors' width; the late-schedule
 cumulative products are ~e^-10 and deserve the precision. ``alpha_bars`` is
 indexed directly by timestep with ``alpha_bars[0] == 1``, so the posterior
 coefficients need no special-casing at t = 1.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward, default_dtype, scale as t_scale
+from .autodiff import Tensor, backward, scale as t_scale
 from .checkpoint import save_checkpoint, load_checkpoint
 from .datacube import as_cube_array
 from .denoiser import (
@@ -180,14 +180,15 @@ def train_step(
     mean of the per-item gradients, so each item is backpropagated, scaled
     by 1/B, as soon as its loss exists: its graph is consumed before the
     next item's is built, and one item's graph is the most the step holds.
-    Adam runs once, after the last item. The returned loss is the float32
-    sum of the item losses, in batch order, scaled by 1/B.
+    Adam runs once, after the last item. Items take the parameters' width, and
+    the returned loss is their losses' sum in batch order, scaled by 1/B.
 
     A non-finite loss raises ``TrainingError`` before the update. Whatever
     ends the step, no parameter keeps a gradient, and on an error the
     parameters and the optimizer state are left as they were.
     """
-    dtype = default_dtype()
+    # from the set of widths: NumPy 1.x's result_type may refuse over 32 arguments
+    dtype = np.result_type(*{p.dtype for p in params.values()})
     weight = 1.0 / len(batch)
     total = None
     try:
@@ -239,8 +240,11 @@ def train(
 
     Writes ``checkpoint_<step>.ckpt`` every ``checkpoint_every`` steps, a
     final ``checkpoint_final.ckpt``, and a ``loss_log.tsv`` with
-    step<TAB>loss<TAB>lr lines.
+    step<TAB>loss<TAB>lr lines, one every ``log_every`` steps and one at
+    the last step.
     """
+    if not _is_int(log_every) or log_every < 1:
+        raise ValueError(f"log_every must be an integer >= 1, got {log_every!r}")
     if not len(dataset):
         raise ValueError("training dataset is empty")
     _check_patch(train_cfg.patch, model_cfg)

@@ -7,14 +7,6 @@ import hsifusion.autodiff as ad
 
 
 @pytest.fixture
-def f64():
-    """Run a test in float64 mode (finite differences need the precision)."""
-    ad.set_default_dtype(np.float64)
-    yield
-    ad.set_default_dtype(np.float32)
-
-
-@pytest.fixture
 def rng():
     return np.random.default_rng(20240915)
 

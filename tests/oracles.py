@@ -32,7 +32,9 @@ FD_STEP = 1e-4
 
 
 def numerical_grad(loss_fn, tensor: Tensor, h: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient of a scalar-valued ``loss_fn``."""
+    """Central finite-difference gradient of a scalar-valued ``loss_fn``
+    with respect to a float64 ``tensor``."""
+    assert tensor.dtype == np.float64, f"finite differences need float64, got {tensor.dtype}"
     grad = np.zeros_like(tensor.data)
     flat = tensor.data.reshape(-1)
     gflat = grad.reshape(-1)

@@ -115,7 +115,7 @@ def test_criterion_2_ddim_ddpm_equivalence():
 
 
 @criterion(3, "gradient checks for primitives and composed denoiser")
-def test_criterion_3_gradients(f64):
+def test_criterion_3_gradients():
     rng = np.random.default_rng(303)
 
     def sq(out):
@@ -178,7 +178,7 @@ def test_criterion_3_gradients(f64):
     cfg = hf.DenoiserConfig(bands=2, msi_bands=1, scale=4, base_channels=8,
                             channel_multipliers=(1, 2), attention_levels=(1,),
                             time_embed_dim=8, groups=4)
-    params = hf.init_params(cfg, rng)
+    params = hf.init_params(cfg, rng, dtype=np.float64)
     params["head.conv.w"].data[:] = 0.2 * rng.normal(size=params["head.conv.w"].shape)
     xt = rng.normal(size=(2, 8, 8))
     y = rng.normal(size=(2, 2, 2))

@@ -131,13 +131,6 @@ class TestTensorBasics:
     def test_default_dtype_for_non_float_input(self):
         assert Tensor([0.0, 1.0]).dtype == np.float32
         assert Tensor(np.zeros(2, dtype=np.int64)).dtype == np.float32
-        ad.set_default_dtype(np.float64)
-        try:
-            assert Tensor([0.0, 1.0]).dtype == np.float64
-        finally:
-            ad.set_default_dtype(np.float32)
-        with pytest.raises(ValueError):
-            ad.set_default_dtype(np.int32)
 
     def test_float_arrays_keep_their_width(self):
         assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64

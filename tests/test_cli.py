@@ -319,6 +319,22 @@ def dataset_on_disk(tmp_path):
     return tmp_path, entries
 
 
+# (path into the run config, value put there): each value breaks the shape
+# that a valid config has at that path
+BAD_RUN_CONFIGS = {
+    "top-list": ((), []),
+    "model-list": (("model",), []),
+    "train-list": (("train",), []),
+    "train-int": (("train",), 5),
+    "data-list": (("data",), []),
+    "data-train-int": (("data", "train"), 5),
+    "data-entry-int": (("data", "train", 0), 5),
+    "data-entry-key": (("data", "train", 0), {"hrhsi": "x"}),
+    "data-path-int": (("data", "train", 0, "hrhsi"), 5),
+    "sampler-list": (("sampler",), []),
+}
+
+
 class TestTrainCommand:
     def test_train_runs_and_checkpoints(self, dataset_on_disk):
         tmp, entries = dataset_on_disk
@@ -389,6 +405,29 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bands" in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("where,value", list(BAD_RUN_CONFIGS.values()),
+                             ids=list(BAD_RUN_CONFIGS))
+    def test_malformed_run_config_reported(self, dataset_on_disk, capsys, command, where,
+                                           value):
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, entries[:2], entries[2:])
+        doc = json.loads(cfg_path.read_text())
+        if where:
+            *parents, key = where
+            node = doc
+            for k in parents:
+                node = node[k]
+            node[key] = value
+        else:
+            doc = value
+        cfg_path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg_path)]
+        if command == "ablate":
+            argv += ["--steps", "1", "--losses", "l1", "--report", str(tmp / "g.tsv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestAblateCommand:

@@ -162,9 +162,9 @@ class TestPredictNoise:
         with pytest.raises(ValueError, match="divisible"):
             predict_noise(params, cfg, rng.normal(size=(cfg.in_channels, 9, 9)), 1)
 
-    def test_end_to_end_gradient_on_sampled_params(self, f64, rng):
+    def test_end_to_end_gradient_on_sampled_params(self, rng):
         cfg = tiny_config()
-        params = init_params(cfg, rng)
+        params = init_params(cfg, rng, dtype=np.float64)
         params["head.conv.w"].data[:] = 0.2 * rng.normal(size=params["head.conv.w"].shape)
         xt = rng.normal(size=(2, 8, 8))
         y = rng.normal(size=(2, 2, 2))

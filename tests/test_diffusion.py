@@ -135,7 +135,7 @@ class TestSimpleLoss:
         with pytest.raises(ValueError, match="p"):
             simple_loss(e, e, 3)
 
-    def test_gradients(self, f64, rng):
+    def test_gradients(self, rng):
         target = Tensor(rng.normal(size=(2, 3, 3)))
         pred = Tensor(rng.normal(size=(2, 3, 3)) + 3.0, requires_grad=True)
         assert_grads_match(lambda: simple_loss(target, pred, 2), [pred])

@@ -57,7 +57,7 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("side", [1, 3, 5])
-    def test_matches_loop_oracle(self, f64, rng, stride, padding, side):
+    def test_matches_loop_oracle(self, rng, stride, padding, side):
         x = rng.normal(size=(2, 7, 9))
         k = rng.normal(size=(3, 2, side, side))
         out = ops.conv2d(Tensor(x), Tensor(k), stride, padding).data
@@ -82,13 +82,13 @@ class TestConv2d:
         pytest.param(3, 0, 3, (4, 10), id="3-0-4x10"),
         pytest.param(1, 2, 5, (9, 3), id="k5-pad2-9x3"),
     ])
-    def test_gradients(self, f64, rng, stride, padding, side, size):
+    def test_gradients(self, rng, stride, padding, side, size):
         x = Tensor(rng.normal(size=(2, *size)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 2, side, side)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.conv2d(x, k, stride, padding)), [x, k])
 
     @pytest.mark.parametrize("stride,padding,side", [(1, 1, 3), (2, 1, 3), (2, 0, 3), (1, 0, 1)])
-    def test_gradients_with_bias(self, f64, rng, stride, padding, side):
+    def test_gradients_with_bias(self, rng, stride, padding, side):
         x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 2, side, side)), requires_grad=True)
         b = Tensor(rng.normal(size=(3,)), requires_grad=True)
@@ -149,7 +149,7 @@ class TestBicubicUpsample:
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want.astype(dtype))
 
-    def test_gradient(self, f64, rng):
+    def test_gradient(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.bicubic_upsample(x, 2)), [x])
 
@@ -193,7 +193,7 @@ class TestGroupNorm:
         held = _held_arrays(ops.group_norm(x, 4, gamma, beta))
         assert held and all(a.shape == (4, 1) for a in held)
 
-    def test_gradients(self, f64, rng):
+    def test_gradients(self, rng):
         x = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
         gamma = Tensor(rng.normal(size=(4,)), requires_grad=True)
         beta = Tensor(rng.normal(size=(4,)), requires_grad=True)
@@ -202,7 +202,7 @@ class TestGroupNorm:
         )
 
     @pytest.mark.parametrize("groups", [1, 2, 4])
-    def test_gradients_with_silu(self, f64, rng, groups):
+    def test_gradients_with_silu(self, rng, groups):
         x = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
         gamma = Tensor(rng.normal(size=(4,)), requires_grad=True)
         beta = Tensor(rng.normal(size=(4,)), requires_grad=True)
@@ -220,14 +220,14 @@ class TestSelfAttention:
         np.testing.assert_array_equal(out.data, x)
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 3, 3), (4, 2, 5), (2, 5, 1)])
-    def test_matches_oracle(self, f64, rng, shape):
+    def test_matches_oracle(self, rng, shape):
         c = shape[0]
         x = rng.normal(size=shape)
         mats = [rng.normal(size=(c, c)) for _ in range(4)]
         out = ops.self_attention(Tensor(x), *[Tensor(m) for m in mats]).data
         np.testing.assert_allclose(out, attention_loops(x, *mats), rtol=1e-12, atol=1e-12)
 
-    def test_gradients(self, f64, rng):
+    def test_gradients(self, rng):
         c = 3
         x = Tensor(rng.normal(size=(c, 3, 3)), requires_grad=True)
         mats = [Tensor(rng.normal(size=(c, c)) * 0.5, requires_grad=True) for _ in range(4)]
@@ -236,7 +236,7 @@ class TestSelfAttention:
         )
 
     @pytest.mark.parametrize("x_trainable", [False, True], ids=["weights", "input"])
-    def test_gradients_with_constant_parents(self, f64, rng, x_trainable):
+    def test_gradients_with_constant_parents(self, rng, x_trainable):
         c = 3
         x = Tensor(rng.normal(size=(c, 2, 4)), requires_grad=x_trainable)
         mats = [Tensor(rng.normal(size=(c, c)) * 0.5, requires_grad=not x_trainable)
@@ -272,17 +272,17 @@ class TestElementwisePrimitives:
             out = ops.silu(Tensor(np.array([1e4, -1e4], dtype=np.float32))).data
         np.testing.assert_array_equal(out, [1e4, 0.0])
 
-    def test_silu_gradient(self, f64, rng):
+    def test_silu_gradient(self, rng):
         x = Tensor(rng.normal(size=(10,)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.silu(x)), [x])
 
-    def test_add_mul_gradients(self, f64, rng):
+    def test_add_mul_gradients(self, rng):
         a = Tensor(rng.normal(size=(6,)), requires_grad=True)
         b = Tensor(rng.normal(size=(6,)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ad.add(a, b)), [a, b])
         assert_grads_match(lambda: _sq_loss(ad.mul(a, b)), [a, b])
 
-    def test_abs_gradient_away_from_zero(self, f64, rng):
+    def test_abs_gradient_away_from_zero(self, rng):
         x = Tensor(rng.normal(size=(8,)) + np.sign(rng.normal(size=(8,))) * 2,
                    requires_grad=True)
         assert_grads_match(lambda: sum_all(ad.absolute(x)), [x])
@@ -296,7 +296,7 @@ class TestDense:
         out = ops.dense(Tensor(x), Tensor(w), Tensor(b)).data
         np.testing.assert_allclose(out, w @ x + b, rtol=1e-6)
 
-    def test_gradients(self, f64, rng):
+    def test_gradients(self, rng):
         x = Tensor(rng.normal(size=(4,)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(3,)), requires_grad=True)
@@ -316,7 +316,7 @@ class TestChannelOps:
         for orig, piece in zip(parts, back):
             np.testing.assert_array_equal(orig, piece)
 
-    def test_concat_gradient(self, f64, rng):
+    def test_concat_gradient(self, rng):
         a = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(1, 3, 3)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.concat_channels([a, b])), [a, b])
@@ -326,7 +326,7 @@ class TestChannelOps:
             ops.concat_channels([Tensor(rng.normal(size=(1, 3, 3))),
                                  Tensor(rng.normal(size=(1, 4, 4)))])
 
-    def test_add_channel_bias_gradient(self, f64, rng):
+    def test_add_channel_bias_gradient(self, rng):
         x = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(3,)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.add_channel_bias(x, b)), [x, b])
@@ -339,7 +339,7 @@ class TestResampling:
         np.testing.assert_array_equal(out[:2, :2], 1.0)
         np.testing.assert_array_equal(out[2:, 2:], 4.0)
 
-    def test_down_then_up_gradients(self, f64, rng):
+    def test_down_then_up_gradients(self, rng):
         x = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.upsample_nearest(x, 2)), [x])
 
@@ -404,7 +404,7 @@ class TestFusedLayers:
 
 
 class TestComposedPipeline:
-    def test_conv_norm_attention_l1_gradient(self, f64, rng):
+    def test_conv_norm_attention_l1_gradient(self, rng):
         # the composed-pipeline check: conv -> group norm -> attention -> l1
         c = 4
         x = Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
@@ -434,7 +434,7 @@ class TestComposedPipeline:
 
 
 class TestRandomizedShapes:
-    def test_primitives_pass_gradcheck_on_random_shapes(self, f64):
+    def test_primitives_pass_gradcheck_on_random_shapes(self):
         # shape-randomized sweep over the core differentiable primitives
         shape_rng = np.random.default_rng(88)
         for trial in range(4):
@@ -469,7 +469,7 @@ class TestRandomizedShapes:
 
 class TestFloatWidth:
     # the public functions of autodiff and ops that are not primitives
-    NOT_PRIMITIVES = {"set_default_dtype", "default_dtype", "as_tensor", "from_op", "backward"}
+    NOT_PRIMITIVES = {"as_tensor", "from_op", "backward"}
 
     def test_every_primitive_keeps_float32(self, rng):
         def t(*shape):

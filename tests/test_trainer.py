@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hsifusion.denoiser
 from hsifusion.checkpoint import load_checkpoint, save_checkpoint
 from hsifusion.datacube import HsiCube
 from hsifusion.degrade import ObservationModel, spatial_degrade, uniform_band_groups
 from hsifusion.denoiser import DenoiserConfig, assemble_condition, init_params, predict_noise
-from hsifusion.diffusion import simple_loss
+from hsifusion.diffusion import q_sample, simple_loss
 from hsifusion.autodiff import Tensor, add, backward
 from hsifusion.schedule import linear_schedule
 from hsifusion.synthetic import make_toy_dataset, observed_triples
@@ -259,6 +260,36 @@ class TestTrainStep:
             np.testing.assert_array_equal(opt.m[name], ref_opt.m[name])
             np.testing.assert_array_equal(opt.v[name], ref_opt.v[name])
 
+    def test_float64_parts_give_float64_results(self, rng, monkeypatch):
+        # float64 weights and data, with no other setting, give what the same
+        # draws give through a float64 embedding and float64 batch items
+        cfg = tiny_model()
+        params = init_params(cfg, rng, dtype=np.float64)
+        params["head.conv.w"].data[:] = 0.2 * rng.normal(size=params["head.conv.w"].shape)
+        x_in = rng.normal(size=(cfg.in_channels, 8, 8))
+        batch = [(rng.random((2, 8, 8)), rng.random((2, 4, 4)), rng.random((1, 8, 8)))
+                 for _ in range(2)]
+        sched = linear_schedule(20, 0.1)
+        before = copy.deepcopy(params)
+        pred = predict_noise(params, cfg, x_in, 7).data
+        loss = train_step(params, AdamState.for_params(params), batch, sched, 1, 1e-3,
+                          np.random.default_rng(5), cfg)
+
+        def embedding(t, dim, T=None):
+            angles = t / np.power(10000.0, 2.0 * np.arange(dim // 2) / dim)
+            return np.stack([np.sin(angles), np.cos(angles)], axis=1).reshape(-1)
+
+        monkeypatch.setattr(hsifusion.denoiser, "time_embedding", embedding)
+        assert pred.dtype == np.float64
+        np.testing.assert_array_equal(pred, predict_noise(before, cfg, x_in, 7).data)
+        draws, item_losses = np.random.default_rng(5), []
+        for x0, y, z in batch:
+            t = int(draws.integers(1, sched.T + 1))
+            eps = draws.standard_normal(x0.shape)
+            cond = assemble_condition(q_sample(x0, t, eps, sched), y, z)
+            item_losses.append(simple_loss(eps, predict_noise(before, cfg, cond, t), 1).item())
+        assert loss == (item_losses[0] + item_losses[1]) * 0.5
+
     def test_non_finite_item_mid_batch_leaves_state_untouched(self, rng):
         cfg = tiny_model()
         params = init_params(cfg, rng)
@@ -445,6 +476,13 @@ class TestTrainLoop:
             int(step)
             float(loss)
             float(lr)
+
+    @pytest.mark.parametrize("log_every", [0, -1, "2", 2.0, True, None])
+    def test_bad_log_every_rejected_before_work(self, rng, tmp_path, log_every):
+        with pytest.raises(ValueError, match="log_every"):
+            train(self._cfg(2), tiny_model(), tiny_dataset(rng), tmp_path / "x",
+                  log_every=log_every)
+        assert not (tmp_path / "x").exists()
 
     def test_patch_divisibility_validated(self, rng, tmp_path):
         with pytest.raises(ValueError, match="divisible"):
