@@ -43,7 +43,9 @@ print(f"\nsame seed, same bytes: {np.array_equal(a, b)}")
 # fusion is step-major: every tile takes step i before any takes step i+1,
 # and each step's posterior noise is drawn and added one band at a time once
 # every tile has stepped, so the memory of a fuse stays flat as the step
-# count grows and posterior noise costs no more memory than sigma = 0
+# count grows and posterior noise costs no more memory than sigma = 0. Each
+# tile builds its condition from its own crop, so no scene-sized upsample of
+# y is held either
 def peak_cubes(d, **kw):
     tracemalloc.start()
     out = hf.fuse(params, cfg, sched, y, z, hf.select_tau(T, d), rng_seed=9, **kw)

@@ -40,12 +40,15 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
+    where = f"{path}: run config"
     with open(path, "r", encoding="utf-8") as fh:
-        raw = _check_fields(json.load(fh), f"{path}: run config", ValueError,
-                            ("model", "train", "data"))
+        raw = _check_fields(json.load(fh), where, ValueError, ("model", "train", "data"))
+    raw = _check_fields({"out_dir": "runs/default", "sampler": {}, **raw}, where, ValueError,
+                        strings=("out_dir",))
     for section in ("model", "train", "data", "sampler"):
-        if section in raw:
-            _check_fields(raw[section], f"{path}: run config '{section}'", ValueError)
+        _check_fields(raw[section], f"{where} '{section}'", ValueError)
+    sampler = _check_fields({"seed": 0, **raw["sampler"]}, f"{where} 'sampler'", ValueError,
+                            counts=("seed",))
     model = DenoiserConfig.from_dict(raw["model"])
     train_cfg = TrainConfig.from_dict(raw["train"])
     _check_patch(train_cfg.patch, model)
@@ -56,17 +59,17 @@ def load_run_config(path) -> RunConfig:
             raise ValueError(f"{path}: run config data '{split}' is not a JSON list")
         for i, entry in enumerate(entries):
             _check_fields(entry, f"{path}: {split} entry {i}", ValueError,
-                          ("hrhsi", "lrhsi", "hrmsi"))
+                          strings=("hrhsi", "lrhsi", "hrmsi"))
             for key in ("hrhsi", "lrhsi", "hrmsi"):
-                if not isinstance(entry[key], str) or not os.path.exists(entry[key]):
+                if not os.path.exists(entry[key]):
                     raise ValueError(f"{path}: referenced path does not exist: {entry[key]!r}")
     return RunConfig(
         model=model,
         train=train_cfg,
         train_data=data.get("train", []),
         test_data=data.get("test", []),
-        out_dir=raw.get("out_dir", "runs/default"),
-        sampler=raw.get("sampler", {}),
+        out_dir=raw["out_dir"],
+        sampler=sampler,
     )
 
 
@@ -196,7 +199,7 @@ def _cmd_ablate(args) -> int:
         return 2
 
     sched = linear_schedule(cfg.train.T, cfg.train.beta_end)
-    seed = int(cfg.sampler.get("seed", 0))
+    seed = cfg.sampler.get("seed", 0)
     grid: dict[str, dict[int, float]] = {}
     times: dict[int, float] = {}
     for loss_name in losses:

@@ -121,17 +121,19 @@ def _is_number(v) -> bool:
     return type(v) is int or (type(v) is float and math.isfinite(v))
 
 
-def _check_fields(obj, where, error, required=(), counts=(), numbers=()) -> dict:
+def _check_fields(obj, where, error, required=(), counts=(), numbers=(), strings=()) -> dict:
     """Check that ``obj`` is a JSON object with every key of ``required``, a
-    non-negative int under each of ``counts`` and a finite int or float under
-    each of ``numbers`` (never a bool); else raise ``error`` naming ``where``."""
+    non-negative int under each of ``counts``, a finite int or float under
+    each of ``numbers`` (never a bool) and a string under each of
+    ``strings``; else raise ``error`` naming ``where``."""
     if not isinstance(obj, dict):
         raise error(f"{where} is not a JSON object")
-    missing = [k for k in (*required, *counts, *numbers) if k not in obj]
+    missing = [k for k in (*required, *counts, *numbers, *strings) if k not in obj]
     if missing:
         raise error(f"{where} has no {', '.join(map(repr, missing))}")
     for keys, what, ok in ((counts, "a non-negative integer", lambda v: type(v) is int and v >= 0),
-                           (numbers, "a number", _is_number)):
+                           (numbers, "a number", _is_number),
+                           (strings, "a string", lambda v: isinstance(v, str))):
         for k in keys:
             if not ok(obj[k]):
                 raise error(f"{where} has {k!r} {obj[k]!r}, not {what}")

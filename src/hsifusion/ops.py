@@ -38,7 +38,8 @@ its parent tensors (whose buffers the tape holds anyway):
 - ``silu``: the sigmoid of the input, one array of the input's size;
   rebuilding it would cost a tanh pass in every adjoint.
 - ``self_attention``: the token view, q, k, v, p and the attended values.
-- ``bicubic_upsample``: its two interpolation matrices, (h*S, h) and (w*S, w).
+- ``bicubic_upsample``: the output window's rows of its two interpolation
+  matrices, at most (h*S, h) and (w*S, w).
 - ``upsample_nearest``, ``dense``, ``add_channel_bias`` and
   ``concat_channels``: nothing.
 """
@@ -188,17 +189,35 @@ def bicubic_weight_matrix(n: int, scale: int, dtype=np.float64) -> np.ndarray:
     return m.astype(dtype)
 
 
-def bicubic_upsample(x, scale: int) -> Tensor:
-    """Upscale (C, h, w) to (C, h*scale, w*scale) with separable bicubic."""
+def bicubic_upsample(x, scale: int, window=(slice(None), slice(None))) -> Tensor:
+    """Upscale (C, h, w) to (C, h*scale, w*scale) with separable bicubic.
+
+    ``window``, a (rows, cols) pair of slices, asks for only that window of
+    the output, ``out[:, rows, cols]``: the product runs on the window's rows
+    of the two interpolation matrices, in the contraction order of the whole
+    upsample, and nothing outside the window is built. The result is the
+    crop to the bit while BLAS multiplies the smaller operands with the
+    kernels it uses for the whole ones, as it does for the 8- to 64-pixel
+    fusion windows the tests cover; a window a few pixels across may differ
+    in the last bits.
+    """
     x = as_tensor(x)
     _require_chw(x, "bicubic_upsample")
     if int(scale) != scale or scale < 1:
         raise ValueError(f"bicubic_upsample: scale must be an integer >= 1, got {scale}")
+    if not (isinstance(window, tuple) and len(window) == 2
+            and all(isinstance(s, slice) for s in window)):
+        raise ValueError(f"bicubic_upsample: window must be a (rows, cols) pair of slices,"
+                         f" got {window!r}")
     scale = int(scale)
     _, h, w = x.shape
     mh = bicubic_weight_matrix(h, scale, dtype=x.dtype)
     mw = bicubic_weight_matrix(w, scale, dtype=x.dtype)
-    out = np.einsum("oh,chw,pw->cop", mh, x.data, mw, optimize=True)
+    # the order einsum picks depends on the operand sizes, and a window may
+    # tip it; the two orders round differently
+    path = np.einsum_path("oh,chw,pw->cop", mh, x.data, mw, optimize=True)[0]
+    mh, mw = mh[window[0]], mw[window[1]]
+    out = np.einsum("oh,chw,pw->cop", mh, x.data, mw, optimize=path)
 
     def bwd(g):
         if x.requires_grad:

@@ -9,9 +9,12 @@ runs step-major: every window takes a step before any takes the next. Noise
 never exists as a whole-scene cube: the initial noise and each step's
 posterior noise are drawn one band at a time, the band's window crops
 written into (or added to) the window states, and several windows are
-blended band by band. Memory therefore scales with the window states and
-one band, not with the step count or a float64 scene; the network's own
-memory does not, as ``fuse`` says.
+blended band by band. The network input of a window is built when the
+window steps, from the window's crop of z and the same window of the bicubic
+upsample of y, which ``bicubic_upsample`` computes without the rest of the
+scene. Memory therefore scales with the window states, one band and one
+window's input, not with the step count, a float64 scene or a scene-sized
+condition; the network's own memory does not, as ``fuse`` says.
 """
 
 from __future__ import annotations
@@ -159,7 +162,10 @@ def fuse(
     not change the per-pixel noise. Each window takes the deterministic
     part of the step; once all have, the step's field is drawn a band at a
     time and sigma times each band's crop is added to the window states,
-    which is the same update as drawing the field first. The draw order is
+    which is the same update as drawing the field first. A window's
+    condition channels, its crop of z and its window of the bicubic upsample
+    of y, are built at each of its steps, bitwise the crops of whole-scene
+    ones, and dropped once the network has read them. The draw order is
     fixed: the initial noise, then one field per noisy step. A network that
     predicts x0 (``cfg.prediction == "x0"``) has its output turned into the
     implied noise before each DDIM step. Output values are clamped to
@@ -210,15 +216,14 @@ def fuse(
         for k, sl in enumerate(windows):
             states[k][b] = band[sl[1:]]
     del band
-    # condition channels once at full resolution; tiles crop consistently
-    y_up = bicubic_upsample(as_tensor(y_arr.astype(np.float32)), cfg.scale).data
-    z_arr = z_arr.astype(np.float32)
+    y_lr = as_tensor(y_arr, dtype=np.float32)
     steps = tau.steps[::-1]
     for t, t_prev in zip(steps, steps[1:] + (0,)):
         sigma = ddim_sigma(sched, t, t_prev, sigma_mode)
         for k, sl in enumerate(windows):
             x = states[k]
-            cond = concat_channels([as_tensor(x), as_tensor(z_arr[sl]), as_tensor(y_up[sl])])
+            cond = concat_channels([as_tensor(x), as_tensor(z_arr[sl], dtype=np.float32),
+                                    bicubic_upsample(y_lr, cfg.scale, sl[1:])])
             eps_hat = predict_noise(params, cfg, cond, t).data
             if not np.isfinite(eps_hat).all():
                 raise ValueError(f"network output is non-finite at DDIM step t={t}")
@@ -235,7 +240,6 @@ def fuse(
                     for k, sl in enumerate(windows):
                         states[k][b] += sigma * band[sl[1:]]
             del band
-    del y_up, z_arr
 
     fused = states.pop() if len(states) == 1 else _blend(states, windows, shape, tile, tile_stride)
     np.clip(fused, 0.0, 1.0, out=fused)

@@ -429,6 +429,42 @@ class TestTrainCommand:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("key,value", [
+        (("out_dir",), 5), (("out_dir",), None), (("out_dir",), ["run"]),
+        (("sampler", "seed"), None), (("sampler", "seed"), "3"), (("sampler", "seed"), 2.7),
+        (("sampler", "seed"), True), (("sampler", "seed"), -1),
+    ])
+    def test_mistyped_out_dir_or_sampler_seed_named(self, dataset_on_disk, capsys, command,
+                                                    key, value):
+        # no int() coercion of the seed and no TypeError traceback: the
+        # error line names the field
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, entries[:2], entries[2:])
+        doc = json.loads(cfg_path.read_text())
+        *parents, field = key
+        node = doc
+        for k in parents:
+            node = node[k]
+        node[field] = value
+        cfg_path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg_path)]
+        if command == "ablate":
+            argv += ["--steps", "1", "--losses", "l1", "--report", str(tmp / "g.tsv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"has {field!r} {value!r}, not a" in err
+        assert not (tmp / "run").exists()
+
+    def test_run_config_defaults_out_dir_and_sampler_seed(self, dataset_on_disk):
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, entries[:1], [])
+        doc = json.loads(cfg_path.read_text())
+        del doc["out_dir"], doc["sampler"]
+        cfg_path.write_text(json.dumps(doc))
+        cfg = load_run_config(cfg_path)
+        assert cfg.out_dir == "runs/default" and cfg.sampler == {"seed": 0}
+
 
 class TestAblateCommand:
     def test_grid_table_shape(self, dataset_on_disk):

@@ -153,6 +153,57 @@ class TestBicubicUpsample:
         x = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
         assert_grads_match(lambda: _sq_loss(ops.bicubic_upsample(x, 2)), [x])
 
+    def test_windows_of_a_tiling_are_crops_bitwise(self, rng):
+        # the benchmark's tiled condition: 31 x 32^2 up 8x to 256^2, tile 64
+        # at stride 48, the last window pulled back to the scene edge
+        x = Tensor(rng.random((31, 32, 32)).astype(np.float32))
+        whole = ops.bicubic_upsample(x, 8).data
+        starts = [*range(0, 256 - 64, 48), 192]
+        for r in starts:
+            for c in starts:
+                window = (slice(r, r + 64), slice(c, c + 64))
+                got = ops.bicubic_upsample(x, 8, window).data
+                assert got.flags.c_contiguous
+                assert got.tobytes() == whole[(slice(None), *window)].tobytes(), window
+
+    @pytest.mark.parametrize("window", [
+        (slice(0, 24), slice(0, 4)), (slice(0, 4), slice(0, 24)), (slice(200, 300), slice(None)),
+        (slice(None), slice(250, 256)),
+    ])
+    def test_window_cut_by_the_edge_or_lopsided_is_a_crop_bitwise(self, rng, window):
+        # a lopsided window makes einsum prefer the other contraction order
+        # for its own operand sizes; the whole upsample's order is kept
+        x = Tensor(rng.random((31, 32, 32)).astype(np.float32))
+        whole = ops.bicubic_upsample(x, 8).data
+        got = ops.bicubic_upsample(x, 8, window).data
+        assert got.tobytes() == whole[(slice(None), *window)].tobytes()
+
+    @pytest.mark.parametrize("window", [(slice(8, 9), slice(3, 67)), (slice(5, 8), slice(9, 12))])
+    def test_window_a_few_pixels_across_is_a_crop_to_rounding(self, rng, window):
+        # BLAS may run products this small through other kernels than the
+        # whole upsample's, so only the values, not the bits, are the crop's
+        x = Tensor(rng.random((31, 32, 32)).astype(np.float32))
+        whole = ops.bicubic_upsample(x, 8).data
+        got = ops.bicubic_upsample(x, 8, window).data
+        np.testing.assert_allclose(got, whole[(slice(None), *window)], rtol=1e-6, atol=1e-6)
+
+    def test_window_gradient(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        window = (slice(1, 5), slice(3, 8))
+        assert_grads_match(lambda: _sq_loss(ops.bicubic_upsample(x, 2, window)), [x])
+
+    def test_window_adjoint_keeps_the_window_rows_only(self, rng):
+        x = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+        out = ops.bicubic_upsample(x, 4, (slice(2, 9), slice(0, 3)))
+        assert out.shape == (2, 7, 3)
+        assert sorted(a.shape for a in _held_arrays(out)) == [(3, 5), (7, 4)]
+
+    @pytest.mark.parametrize("window", [slice(0, 4), (slice(0, 4),), (0, slice(None)),
+                                        [slice(None), slice(None)]])
+    def test_bad_window(self, rng, window):
+        with pytest.raises(ValueError, match="window"):
+            ops.bicubic_upsample(Tensor(rng.normal(size=(1, 4, 4))), 2, window)
+
 
 class TestGroupNorm:
     def test_standardizes_groups(self, rng):

@@ -301,9 +301,11 @@ class TestFuse:
 
     def test_whole_fusion_peak_holds_one_map_per_layer(self, fusion_setup, peak_alloc):
         # 33.4 output cubes when each conv bias and each SiLU after a norm
-        # wrote a map of its own; 29.0 with one primitive per layer
+        # wrote a map of its own; 29.4 with one primitive per layer (as the
+        # first fuse of a process, 28.3 after one); 28.0 (26.6) since the
+        # upsampled y is built per step and freed before the network runs
         cubes = _whole_fuse_peak(fusion_setup, peak_alloc)
-        assert cubes <= 31.0, f"whole fuse peaked at {cubes:.2f} output cubes"
+        assert cubes <= 29.0, f"whole fuse peaked at {cubes:.2f} output cubes"
 
     def test_tiled_fusion_memory_does_not_grow_with_steps(self, rng, peak_alloc):
         # 6.1 cubes at d=2 and 9.1 at d=5 when every field was drawn up front
@@ -313,9 +315,11 @@ class TestFuse:
     @pytest.mark.parametrize("d", [2, 5])
     def test_tiled_fusion_holds_no_scene_sized_noise_or_blend(self, rng, peak_alloc, d):
         # 4.47 output cubes while each step drew a whole-scene noise field
-        # and the blend accumulated a float64 scene; 3.50 band by band
+        # and the blend accumulated a float64 scene; 3.47 band by band, with
+        # a whole-scene upsampled condition; 2.71 since each window builds its
+        # condition from its own crop
         cubes = _tiled_fuse_peak(rng, peak_alloc, d)
-        assert cubes <= 4.0, f"tiled fuse peaked at {cubes:.2f} output cubes at d={d}"
+        assert cubes <= 3.0, f"tiled fuse peaked at {cubes:.2f} output cubes at d={d}"
 
     def test_whole_posterior_fusion_draws_no_noise_cube(self, fusion_setup, peak_alloc):
         # the posterior noise is added a band at a time; a whole-scene field
@@ -371,6 +375,32 @@ class TestStepMajorFusion:
         got = fuse(params, cfg, sched, y, z, select_tau(40, 2), **kw).data
         want = fuse_tile_major(params, cfg, sched, y, z, select_tau(40, 2), **kw)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [(16, 40), (40, 16)])
+    def test_windows_cut_by_the_scene_edge_match_tile_major_bitwise(self, fusion_setup, size):
+        # 24-pixel tiles on a 16-pixel side are cut to 16 by the scene edge,
+        # and three of them are blended along the other side: each window's
+        # condition is a lopsided window of the upsampled y
+        cfg, params, sched, _, _ = fusion_setup
+        cube = HsiCube(np.random.default_rng(12).random((4, *size)).astype(np.float32))
+        y, z = simulate_observations(cube, ObservationModel(block=4,
+                                                            srf=uniform_band_groups(4, 2)))
+        kw = dict(sigma_mode="posterior", rng_seed=2, tile=24, tile_stride=8)
+        got = fuse(params, cfg, sched, y, z, select_tau(40, 2), **kw).data
+        want = fuse_tile_major(params, cfg, sched, y, z, select_tau(40, 2), **kw)
+        assert got.shape == (4, *size)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tile", [None, 8])
+    def test_float64_observations_fuse_as_their_float32_casts(self, fusion_setup, tile):
+        # each window casts its own crop of z; the network still sees float32
+        cfg, params, sched, y, z = fusion_setup
+        kw = dict(sigma_mode="posterior", rng_seed=5, tile=tile, tile_stride=4)
+        wide = fuse(params, cfg, sched, y.data.astype(np.float64), z.data.astype(np.float64),
+                    select_tau(40, 2), **kw).data
+        narrow = fuse(params, cfg, sched, y.data.astype(np.float32),
+                      z.data.astype(np.float32), select_tau(40, 2), **kw).data
+        assert wide.tobytes() == narrow.tobytes()
 
 
 class TestCleanCubeEstimator:
