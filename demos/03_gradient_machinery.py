@@ -14,9 +14,9 @@ from hsifusion import ops
 rng = np.random.default_rng(3)
 
 # the residual-block layers as the denoiser runs them, each one tape node:
-# conv + bias -> group norm + SiLU -> attention -> scalar loss
-x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
-kernel = Tensor(rng.normal(size=(4, 2, 3, 3)) * 0.5, requires_grad=True)
+# group norm -> SiLU -> conv + bias in one conv2d, then attention -> scalar loss
+x = Tensor(rng.normal(size=(4, 6, 6)), requires_grad=True)
+kernel = Tensor(rng.normal(size=(4, 4, 3, 3)) * 0.5, requires_grad=True)
 bias = Tensor(rng.normal(size=(4,)) * 0.1, requires_grad=True)
 gamma = Tensor(1.0 + 0.1 * rng.normal(size=(4,)), requires_grad=True)
 beta = Tensor(np.zeros(4), requires_grad=True)
@@ -24,8 +24,7 @@ mats = [Tensor(rng.normal(size=(4, 4)) * 0.4, requires_grad=True) for _ in range
 
 
 def loss_fn():
-    h = ops.conv2d(x, kernel, padding=1, bias=bias)
-    h = ops.group_norm(h, 2, gamma, beta, silu=True)
+    h = ops.conv2d(x, kernel, padding=1, bias=bias, norm=(2, gamma, beta))
     h = ops.self_attention(h, *mats)
     return ad.mean_all(ad.mul(h, h))
 
@@ -41,7 +40,7 @@ def tape_nodes(root):
 
 
 loss = loss_fn()
-print(f"tape nodes: {tape_nodes(loss)} (conv, norm, attention, mul, mean)")
+print(f"tape nodes: {tape_nodes(loss)} (norm-conv, attention, mul, mean)")
 backward(loss)
 print(f"pipeline loss: {loss.item():.6f}")
 print(f"grad norms: x {np.linalg.norm(x.grad):.4f}, kernel {np.linalg.norm(kernel.grad):.4f}")

@@ -8,13 +8,14 @@ conv of each block, optional attention, strided-conv downsample), a
 bottleneck of residual/attention/residual, a mirrored up path consuming skip
 concatenations, and a zero-initialized output conv.
 
-A residual block is GroupNorm -> SiLU -> conv + bias, twice. Each of those
-layers is one primitive: ``group_norm(..., silu=True)`` and
-``conv2d(..., bias=...)``, and the SiLU of the time embedding is applied once
-per evaluation and shared by every block, so a network evaluation on the
-default three-level config records 80 tape nodes. The time bias stays a
-separate ``add_channel_bias``: folding it into the conv bias would change the
-float32 rounding.
+A residual block is GroupNorm -> SiLU -> conv + bias, twice, and an up step
+is nearest upsample -> conv + bias. Each of those is one primitive,
+``conv2d(..., bias=..., norm=...)`` or ``conv2d(..., bias=..., upsample=2)``,
+so neither the normalized nor the upsampled map is written on its own. The
+SiLU of the time embedding is applied once per evaluation and shared by
+every block, so a network evaluation on the default three-level config
+records 61 tape nodes. The time bias stays a separate ``add_channel_bias``:
+folding it into the conv bias would change the float32 rounding.
 
 ``DenoiserConfig.prediction`` names what the output estimates: ``"eps"``
 (the default) reads it as the injected noise, ``"x0"`` as the clean cube.
@@ -47,10 +48,8 @@ from .ops import (
     concat_channels,
     conv2d,
     dense,
-    group_norm,
     self_attention,
     silu,
-    upsample_nearest,
 )
 
 
@@ -249,10 +248,11 @@ def param_count(params: dict[str, Tensor]) -> int:
 
 
 def _conv_bias(p: _ParamView, name: str, x: Tensor, c_out: int, stride: int = 1,
-               zero: bool = False) -> Tensor:
+               zero: bool = False, norm=None, upsample: int = 1) -> Tensor:
     c_in = x.shape[0]
     w = p.take(name + ".w", (c_out, c_in, 3, 3), fan_in=None if zero else 9 * c_in)
-    return conv2d(x, w, stride=stride, padding=1, bias=p.take(name + ".b", (c_out,)))
+    return conv2d(x, w, stride=stride, padding=1, bias=p.take(name + ".b", (c_out,)),
+                  norm=norm, upsample=upsample)
 
 
 def _dense(p: _ParamView, name: str, x: Tensor, n_out: int) -> Tensor:
@@ -261,19 +261,19 @@ def _dense(p: _ParamView, name: str, x: Tensor, n_out: int) -> Tensor:
                  p.take(name + ".b", (n_out,)))
 
 
-def _norm(p: _ParamView, name: str, x: Tensor, groups: int) -> Tensor:
-    # every norm of the network feeds a SiLU
+def _norm(p: _ParamView, name: str, x: Tensor, groups: int) -> tuple:
+    # the GroupNorm -> SiLU in front of a conv, as conv2d's norm argument;
+    # taken before the conv's own weights
     c = x.shape[0]
-    return group_norm(x, groups, p.take(name + ".g", (c,), fill=1.0), p.take(name + ".b", (c,)),
-                      silu=True)
+    return groups, p.take(name + ".g", (c,), fill=1.0), p.take(name + ".b", (c,))
 
 
 def _res_block(p: _ParamView, name: str, x: Tensor, temb_act: Tensor, groups: int,
                c_out: int) -> Tensor:
     # temb_act is silu(time embedding), shared by every block of one evaluation
-    h = _conv_bias(p, name + ".conv1", _norm(p, name + ".norm1", x, groups), c_out)
+    h = _conv_bias(p, name + ".conv1", x, c_out, norm=_norm(p, name + ".norm1", x, groups))
     h = add_channel_bias(h, _dense(p, name + ".tproj", temb_act, c_out))
-    h = _conv_bias(p, name + ".conv2", _norm(p, name + ".norm2", h, groups), c_out)
+    h = _conv_bias(p, name + ".conv2", h, c_out, norm=_norm(p, name + ".norm2", h, groups))
     c_in = x.shape[0]
     if c_in != c_out:
         x = conv2d(x, p.take(name + ".skip.w", (c_out, c_in, 1, 1), fan_in=c_in))
@@ -313,9 +313,10 @@ def _forward(p: _ParamView, cfg: DenoiserConfig, x_in: Tensor, t: int) -> Tensor
         if i in cfg.attention_levels:
             h = _attention(p, f"up{i}.attn", h)
         if i > 0:
-            h = _conv_bias(p, f"up{i}.up", upsample_nearest(h, 2), chans[i - 1])
+            h = _conv_bias(p, f"up{i}.up", h, chans[i - 1], upsample=2)
 
-    out = _conv_bias(p, "head.conv", _norm(p, "head.norm", h, cfg.groups), cfg.bands, zero=True)
+    out = _conv_bias(p, "head.conv", h, cfg.bands, zero=True,
+                     norm=_norm(p, "head.norm", h, cfg.groups))
     p.finish()
     return out
 

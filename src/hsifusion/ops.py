@@ -19,22 +19,31 @@ values; the adjoint reuses them and writes out the softmax Jacobian-vector
 product, ``ds = p * (dp - rowsum(dp * p)) / sqrt(C)``. A call records one
 tape node.
 
-Two layer pairs of the network are one primitive each, so neither keeps an
-intermediate map alive on the tape: ``conv2d(..., bias=b)`` adds the
-per-channel bias while it writes its output, and
-``group_norm(..., silu=True)`` applies y * sigmoid(y) to the normalized map
-in place. Both are bitwise equal, output and gradients, to the two-op chains
-``add_channel_bias(conv2d(...), b)`` and ``silu(group_norm(...))``: the
-sigmoid of both SiLUs is the one ``_sigmoid``.
+Each conv layer of the network is one primitive, together with the layer in
+front of it and its bias, so no intermediate map is written on its own or
+kept alive on the tape. ``conv2d(..., bias=b)`` adds the per-channel bias
+while it writes its output. ``conv2d(..., norm=(groups, gamma, beta))`` runs
+GroupNorm then SiLU on its input and ``conv2d(..., upsample=2)`` a nearest
+upsample, and either writes the result straight into the padded buffer the
+phase images are cut from. Each is bitwise equal, output and gradients, to
+its chain: ``add_channel_bias(conv2d(...), b)``,
+``conv2d(silu(group_norm(...)), ...)`` and
+``conv2d(upsample_nearest(...), ...)``. The standalone ``group_norm``,
+``silu`` and ``upsample_nearest`` share their arithmetic with the conv
+through private helpers (``_normalize_into``, ``_sigmoid``,
+``_silu_adjoint``, ``_norm_adjoint``, ``_upsample_into``,
+``_upsample_adjoint``), so each rule is written once.
 
 What each adjoint's closure keeps alive until backward reaches it, beyond
 its parent tensors (whose buffers the tape holds anyway):
 
-- ``conv2d``: nothing; the adjoint rebuilds the phase images from ``x``.
+- ``conv2d``: nothing; the adjoint rebuilds the phase images from ``x``,
+  upsampling it again when ``upsample`` is set. With ``norm`` the per-group
+  mean and 1/std and the sigmoid of the normalized map y, one array of the
+  input's size; the adjoint rebuilds y with the forward's arithmetic, and
+  no normalized or upsampled map is kept.
 - ``group_norm``: the per-group mean and 1/std; the adjoint rebuilds the
-  standardized input from ``x``. With ``silu=True`` also the sigmoid of the
-  normalized map y, one array of the input's size; the adjoint rebuilds y
-  itself with the forward's arithmetic.
+  standardized input from ``x``.
 - ``silu``: the sigmoid of the input, one array of the input's size;
   rebuilding it would cost a tanh pass in every adjoint.
 - ``self_attention``: the token view, q, k, v, p and the attended values.
@@ -45,6 +54,8 @@ its parent tensors (whose buffers the tape holds anyway):
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -63,13 +74,22 @@ def _require_chw(x: Tensor, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, norm=None,
+           upsample: int = 1) -> Tensor:
     """Cross-correlate (C_in, H, W) with (C_out, C_in, k, k), plus a per-channel
     ``bias`` (C_out,) when one is given.
 
-    Output spatial size is (H + 2*padding - k) // stride + 1. The kernel side
-    must be odd. The bias is added while the cropped output is written, so a
-    biased conv is one pass and one tape node.
+    The layer in front of the conv can be part of it, so one call is one
+    tape node and its output map is never written on its own:
+    ``norm=(groups, gamma, beta)`` equals ``conv2d(silu(group_norm(x,
+    groups, gamma, beta)), ...)`` and ``upsample=r`` equals
+    ``conv2d(upsample_nearest(x, r), ...)``, to the bit, output and
+    gradients. Either writes its values straight into the padded buffer
+    below. A conv takes one of the two at most.
+
+    Output spatial size is (H' + 2*padding - k) // stride + 1, where H' is H
+    times ``upsample``. The kernel side must be odd. The bias is added while
+    the cropped output is written.
 
     With s = stride, the padded input is split into s² phase images
     ``xp[:, a::s, b::s]`` of size (ceil(Hp/s) + 1, wq) with wq = ceil(Wp/s);
@@ -78,35 +98,64 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     (i // s) * wq + j // s, so the output is the sum of k² GEMMs
     (C_out, C_in) @ (C_in, h_out * wq), cropped to w_out of every wq columns.
     The kernel gradient multiplies the zero-widened output gradient by the
-    same slices, which the adjoint rebuilds from ``x`` rather than keeping;
-    the input gradient scatter-adds K_ijᵀ @ g into them and interleaves the
-    phases back.
+    same slices, which the adjoint rebuilds from ``x`` rather than keeping,
+    normalizing or upsampling it again; the input gradient scatter-adds
+    K_ijᵀ @ g into them, interleaves the phases back and runs the SiLU and
+    norm, or the upsample, adjoint on the crop.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     _require_chw(x, "conv2d")
     if kernel.data.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
         raise ValueError(f"conv2d kernel must be (C_out, C_in, k, k), got {kernel.shape}")
     c_in, h, w = x.shape
-    _, kc_in, k, _ = kernel.shape
+    c_out, kc_in, k, _ = kernel.shape
     if kc_in != c_in:
         raise ValueError(f"conv2d: input has {c_in} channels, kernel expects {kc_in}")
     if k % 2 == 0:
         raise ValueError(f"conv2d kernel side must be odd, got {k}")
     if stride < 1 or padding < 0:
         raise ValueError("conv2d: stride must be >= 1 and padding >= 0")
+    if int(upsample) != upsample or upsample < 1:
+        raise ValueError(f"conv2d: upsample must be an integer >= 1, got {upsample}")
+    if norm is not None and upsample != 1:
+        raise ValueError("conv2d takes norm or upsample, not both")
+    s, up = stride, int(upsample)
+    h, w = h * up, w * up  # the conv's input is x after its prologue
     if h + 2 * padding < k or w + 2 * padding < k:
         raise ValueError(f"conv2d: input {h}x{w} too small for k={k}, padding={padding}")
-    s, c_out = stride, kernel.shape[0]
+    upstream = (x,)  # what the conv's input is computed from
+    groups, gamma, beta = (None, None, None) if norm is None else norm
+    if norm is not None:
+        gamma, beta = as_tensor(gamma), as_tensor(beta)
+        _check_norm("conv2d", x, groups, gamma, beta)
+        upstream = (x, gamma, beta)
+    parents = (*upstream, kernel)
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (c_out,):
             raise ValueError(f"conv2d: bias {bias.shape} vs {c_out} output channels")
+        parents += (bias,)
+
+    def upsampled(dst):
+        _upsample_into(dst, x.data, up)
+
+    write, mu, inv_std, sig = upsampled, None, None, None
+    if norm is not None:
+        # group_norm's arithmetic runs before the padded buffer exists; the
+        # SiLU then spends y's buffer, which the adjoint keeps as the sigmoid
+        y = np.empty_like(x.data)
+        mu, inv_std = _normalize_into(y, x.data, groups, gamma.data, beta.data)
+        taped = any(p.requires_grad for p in parents)
+        write = functools.partial(_silu_into, y=y, keep_sigmoid=taped)
+        sig = y if taped else None
+        del y
 
     h_out = (h + 2 * padding - k) // s + 1
     w_out = (w + 2 * padding - k) // s + 1
     hq = -(-(h + 2 * padding) // s) + 1
     wq = -(-(w + 2 * padding) // s)
-    phases = _phase_images(x.data, s, padding, hq, wq)
+    phases = _phase_images(write, (c_in, h, w), x.dtype, s, padding, hq, wq)
+    del write
     n = h_out * wq
     taps = [(i, j, i % s, j % s, (i // s) * wq + j // s)
             for i in range(k) for j in range(k)]
@@ -123,35 +172,49 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
         gf = np.zeros((c_out, h_out, wq), dtype=g.dtype)
         gf[:, :, :w_out] = g
         gf = gf.reshape(c_out, n)  # wrapped columns carry zero adjoint
-        phases = _phase_images(x.data, s, padding, hq, wq)
+        write = upsampled
+        if norm is not None:
+            y = np.empty_like(x.data)  # rebuilt with the forward's arithmetic
+            _normalize_into(y, x.data, groups, gamma.data, beta.data, mu, inv_std)
+            write = functools.partial(np.multiply, y, sig)
+        phases = _phase_images(write, (c_in, h, w), x.dtype, s, padding, hq, wq)
         if kernel.requires_grad:
             gk = np.empty_like(kernel.data)
             for i, j, a, b, off in taps:
                 gk[:, :, i, j] = gf @ phases[a, b, :, off:off + n].T
             kernel.accumulate_grad(gk)
-        if x.requires_grad:
-            gph = np.zeros_like(phases)
-            tmp = np.empty((c_in, n), dtype=gph.dtype)
-            for i, j, a, b, off in taps:
-                gph[a, b, :, off:off + n] += np.matmul(kernel.data[:, :, i, j].T, gf, out=tmp)
-            gxp = gph.reshape(s, s, c_in, hq, wq).transpose(2, 3, 0, 4, 1)
-            gxp = gxp.reshape(c_in, hq * s, wq * s)
-            x.accumulate_grad(gxp[:, padding:padding + h, padding:padding + w])
+        if not any(t.requires_grad for t in upstream):
+            return
+        del phases
+        gph = np.zeros((s, s, c_in, hq * wq), dtype=x.dtype)
+        tmp = np.empty((c_in, n), dtype=x.dtype)
+        for i, j, a, b, off in taps:
+            gph[a, b, :, off:off + n] += np.matmul(kernel.data[:, :, i, j].T, gf, out=tmp)
+        gxp = gph.reshape(s, s, c_in, hq, wq).transpose(2, 3, 0, 4, 1)
+        gxp = gxp.reshape(c_in, hq * s, wq * s)
+        gu = gxp[:, padding:padding + h, padding:padding + w]  # of the conv's input
+        if norm is not None:
+            _norm_adjoint(_silu_adjoint(gu, y, sig), x, groups, gamma, beta, mu, inv_std)
+        elif up > 1:
+            x.accumulate_grad(_upsample_adjoint(np.ascontiguousarray(gu), up))
+        else:
+            x.accumulate_grad(gu)
 
     del phases, tmp  # freed before the cropped output exists
     view = out.reshape(c_out, h_out, wq)[:, :, :w_out]
     if bias is None:
-        return from_op(np.ascontiguousarray(view), (x, kernel), bwd)
+        return from_op(np.ascontiguousarray(view), parents, bwd)
     res = np.empty(view.shape, dtype=np.result_type(view, bias.data))
     np.add(view, bias.data[:, None, None], out=res)
-    return from_op(res, (x, kernel, bias), bwd)
+    return from_op(res, parents, bwd)
 
 
-def _phase_images(x: np.ndarray, s: int, padding: int, hq: int, wq: int) -> np.ndarray:
-    # (s, s, C, hq * wq): phase (a, b) is the zero-padded input's [:, a::s, b::s]
-    c, h, w = x.shape
-    xp = np.zeros((c, hq * s, wq * s), dtype=x.dtype)  # zero pad and tail
-    xp[:, padding:padding + h, padding:padding + w] = x
+def _phase_images(write, shape, dtype, s: int, padding: int, hq: int, wq: int) -> np.ndarray:
+    # (s, s, C, hq * wq): phase (a, b) is the zero-padded input's [:, a::s, b::s];
+    # write(dst) puts the (C, H, W) input into dst, the padded buffer's interior
+    c, h, w = shape
+    xp = np.zeros((c, hq * s, wq * s), dtype=dtype)  # zero pad and tail
+    write(xp[:, padding:padding + h, padding:padding + w])
     return np.ascontiguousarray(
         xp.reshape(c, hq, s, wq, s).transpose(2, 4, 0, 1, 3)
     ).reshape(s, s, c, hq * wq)
@@ -171,21 +234,22 @@ def _catmull_rom(u: np.ndarray) -> np.ndarray:
     return np.where(u <= 1, near, np.where(u < 2, far, 0.0))
 
 
-def bicubic_weight_matrix(n: int, scale: int, dtype=np.float64) -> np.ndarray:
+def bicubic_weight_matrix(n: int, scale: int, dtype=np.float64, rows=slice(None)) -> np.ndarray:
     """(n*scale, n) interpolation matrix: separable Catmull-Rom, replicate edges.
 
     Output sample i reads input coordinate (i + 0.5) / scale - 0.5, so scale 1
-    is the exact identity.
+    is the exact identity. ``rows``, a slice, builds only those rows; each
+    row depends on its index alone, so they are the whole matrix's rows.
     """
-    rows = n * scale
-    src = (np.arange(rows) + 0.5) / scale - 0.5
+    i = np.arange(*rows.indices(n * scale))
+    src = (i + 0.5) / scale - 0.5
     i0 = np.floor(src)
     t = (src - i0)[:, None]
     idx = np.clip(i0.astype(np.int64)[:, None] + np.arange(-1, 3), 0, n - 1)
     wts = _catmull_rom(np.concatenate([1 + t, t, 1 - t, 2 - t], axis=1))
-    m = np.zeros((rows, n), dtype=np.float64)
+    m = np.zeros((i.size, n), dtype=np.float64)
     # taps clipped onto the same edge pixel add up, in tap order
-    np.add.at(m, (np.arange(rows)[:, None], idx), wts)
+    np.add.at(m, (np.arange(i.size)[:, None], idx), wts)
     return m.astype(dtype)
 
 
@@ -211,13 +275,10 @@ def bicubic_upsample(x, scale: int, window=(slice(None), slice(None))) -> Tensor
                          f" got {window!r}")
     scale = int(scale)
     _, h, w = x.shape
-    mh = bicubic_weight_matrix(h, scale, dtype=x.dtype)
-    mw = bicubic_weight_matrix(w, scale, dtype=x.dtype)
-    # the order einsum picks depends on the operand sizes, and a window may
-    # tip it; the two orders round differently
-    path = np.einsum_path("oh,chw,pw->cop", mh, x.data, mw, optimize=True)[0]
-    mh, mw = mh[window[0]], mw[window[1]]
-    out = np.einsum("oh,chw,pw->cop", mh, x.data, mw, optimize=path)
+    mh = bicubic_weight_matrix(h, scale, x.dtype, rows=window[0])
+    mw = bicubic_weight_matrix(w, scale, x.dtype, rows=window[1])
+    out = np.einsum("oh,chw,pw->cop", mh, x.data, mw,
+                    optimize=_upsample_path(x.shape, scale, x.dtype))
 
     def bwd(g):
         if x.requires_grad:
@@ -226,18 +287,43 @@ def bicubic_upsample(x, scale: int, window=(slice(None), slice(None))) -> Tensor
     return from_op(np.ascontiguousarray(out), (x,), bwd)
 
 
+@functools.lru_cache(maxsize=64)
+def _upsample_path(shape: tuple, scale: int, dtype) -> tuple:
+    # the order einsum picks depends on the operand sizes, and a window may
+    # tip it; the two orders round differently, so every window takes the
+    # whole upsample's, searched once per shape on one-value stand-ins
+    # broadcast to the whole operands' shapes
+    c, h, w = shape
+    one = np.zeros((), dtype)
+    whole = [np.broadcast_to(one, dims) for dims in ((h * scale, h), (c, h, w), (w * scale, w))]
+    return tuple(np.einsum_path("oh,chw,pw->cop", *whole, optimize=True)[0])
+
+
 def upsample_nearest(x, scale: int = 2) -> Tensor:
     """Repeat each pixel ``scale`` times along both spatial axes."""
     x = as_tensor(x)
     _require_chw(x, "upsample_nearest")
     c, h, w = x.shape
+    out = np.empty((c, h * scale, w * scale), dtype=x.dtype)
+    _upsample_into(out, x.data, scale)
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate_grad(g.reshape(c, h, scale, w, scale).sum(axis=(2, 4)))
+            x.accumulate_grad(_upsample_adjoint(g, scale))
 
-    out = np.repeat(np.repeat(x.data, scale, axis=1), scale, axis=2)
     return from_op(out, (x,), bwd)
+
+
+def _upsample_into(dst: np.ndarray, x: np.ndarray, scale: int) -> None:
+    # dst[:, i*scale + a, j*scale + b] = x[:, i, j]; dst may be a view
+    for a in range(scale):
+        for b in range(scale):
+            dst[:, a::scale, b::scale] = x
+
+
+def _upsample_adjoint(g: np.ndarray, scale: int) -> np.ndarray:
+    c, h, w = g.shape
+    return g.reshape(c, h // scale, scale, w // scale, scale).sum(axis=(2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -245,76 +331,99 @@ def upsample_nearest(x, scale: int = 2) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def group_norm(x, groups: int, gamma, beta, silu: bool = False) -> Tensor:
-    """Per-group standardization over (channels/groups, H, W), then affine;
-    with ``silu=True`` the result y goes on through y * sigmoid(y) in the
-    same primitive, bitwise equal to ``silu(group_norm(...))``.
+def group_norm(x, groups: int, gamma, beta) -> Tensor:
+    """Per-group standardization over (channels/groups, H, W), then affine.
 
     The variance is taken from the centred values (two passes), so a large
     common offset costs no float32 precision.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     _require_chw(x, "group_norm")
-    c, h, w = x.shape
-    if c % groups != 0:
-        raise ValueError(f"group_norm: {c} channels not divisible by {groups} groups")
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ValueError("group_norm: gamma/beta must be shaped (C,)")
-
-    xg = x.data.reshape(groups, -1)
-    mu = xg.mean(axis=1, keepdims=True)
-    d = xg - mu
-    inv_std = 1.0 / np.sqrt((d * d).mean(axis=1, keepdims=True) + GROUP_NORM_EPS)
-
-    def channel_scale():
-        return (gamma.data.reshape(groups, -1) * inv_std).reshape(c, 1, 1)
-
-    # d becomes the output in place: one (C, H, W) buffer, scaled per channel
-    out = d.reshape(c, h, w)
-    out *= channel_scale()
-    out += beta.data[:, None, None]
-    sig = None
-    if silu:
-        sig = _sigmoid(out)
-        out *= sig
+    _check_norm("group_norm", x, groups, gamma, beta)
+    out = np.empty_like(x.data)
+    mu, inv_std = _normalize_into(out, x.data, groups, gamma.data, beta.data)
 
     def bwd(g):
-        xh = x.data.reshape(groups, -1) - mu  # standardized below; rebuilt, not kept
-        if sig is not None:
-            # y rebuilt with the forward's arithmetic, then silu's adjoint
-            # g * sig * (1 + y * (1 - sig))
-            y = xh.reshape(c, h, w) * channel_scale()
-            y += beta.data[:, None, None]
-            gy = 1.0 - sig
-            y *= gy
-            y += 1.0
-            np.multiply(g, sig, out=gy)
-            gy *= y
-            g = gy
-            del y
-        xh *= inv_std
-        if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=(1, 2)))
-        if gamma.requires_grad:
-            gamma.accumulate_grad((g * xh.reshape(c, h, w)).sum(axis=(1, 2)))
-        if x.requires_grad:
-            m = xh.shape[1]
-            dxhat = (g * gamma.data[:, None, None]).reshape(groups, -1)
-            s1 = dxhat.sum(axis=1, keepdims=True)
-            s2 = (dxhat * xh).sum(axis=1, keepdims=True)
-            gx = inv_std / m * (m * dxhat - s1 - xh * s2)
-            x.accumulate_grad(gx.reshape(c, h, w))
+        _norm_adjoint(g, x, groups, gamma, beta, mu, inv_std)
 
     return from_op(out, (x, gamma, beta), bwd)
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
+def _check_norm(op: str, x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> None:
+    c = x.shape[0]
+    if c % groups != 0:
+        raise ValueError(f"{op}: {c} channels not divisible by {groups} groups")
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ValueError(f"{op}: gamma/beta must be shaped (C,)")
+
+
+def _normalize_into(dst: np.ndarray, x: np.ndarray, groups: int, gamma: np.ndarray,
+                    beta: np.ndarray, mu=None, inv_std=None):
+    # (x - mu) * inv_std * gamma + beta per group, written into dst, an array
+    # of x's shape; the statistics are computed when not given, and returned
+    c = x.shape[0]
+    if mu is None:
+        mu = x.reshape(groups, -1).mean(axis=1, keepdims=True)
+    np.subtract(x, np.repeat(mu, c // groups)[:, None, None], out=dst)
+    if inv_std is None:
+        var = (dst * dst).reshape(groups, -1).mean(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
+    dst *= (gamma.reshape(groups, -1) * inv_std).reshape(c, 1, 1)
+    dst += beta[:, None, None]
+    return mu, inv_std
+
+
+def _norm_adjoint(g: np.ndarray, x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
+                  mu: np.ndarray, inv_std: np.ndarray) -> None:
+    # the standardized input is rebuilt from x, not kept
+    c, h, w = x.shape
+    xh = x.data.reshape(groups, -1) - mu
+    xh *= inv_std
+    if beta.requires_grad:
+        beta.accumulate_grad(g.sum(axis=(1, 2)))
+    if gamma.requires_grad:
+        gamma.accumulate_grad((g * xh.reshape(c, h, w)).sum(axis=(1, 2)))
+    if x.requires_grad:
+        m = xh.shape[1]
+        dxhat = (g * gamma.data[:, None, None]).reshape(groups, -1)
+        s1 = dxhat.sum(axis=1, keepdims=True)
+        s2 = (dxhat * xh).sum(axis=1, keepdims=True)
+        gx = inv_std / m * (m * dxhat - s1 - xh * s2)
+        x.accumulate_grad(gx.reshape(c, h, w))
+
+
+def _sigmoid(v: np.ndarray, out=None) -> np.ndarray:
     # 0.5 + 0.5 * tanh(0.5 * v) in one buffer; tanh is bounded, so no input overflows
-    sig = np.multiply(v, 0.5)
+    sig = np.multiply(v, 0.5, out=out)
     np.tanh(sig, out=sig)
     sig *= 0.5
     sig += 0.5
     return sig
+
+
+def _silu_into(dst: np.ndarray, y: np.ndarray, keep_sigmoid: bool) -> None:
+    # dst = y * sigmoid(y), for dst a strided view and y contiguous; y's buffer
+    # becomes the sigmoid. A ufunc buffers every strided operand, up to 8192
+    # values each, which on a small map outweighs the map: so dst is written
+    # by copies, and unless the sigmoid is kept the product is formed in y's
+    # buffer too
+    dst[...] = y
+    sig = _sigmoid(y, out=y)
+    if keep_sigmoid:
+        dst *= sig
+    else:
+        sig *= dst
+        dst[...] = sig
+
+
+def _silu_adjoint(g: np.ndarray, y: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    # g * sig * (1 + y * (1 - sig)) for sig = sigmoid(y); y is overwritten
+    gy = 1.0 - sig
+    y *= gy
+    y += 1.0
+    np.multiply(g, sig, out=gy)
+    gy *= y
+    return gy
 
 
 def silu(x) -> Tensor:
@@ -324,7 +433,7 @@ def silu(x) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)))
+            x.accumulate_grad(_silu_adjoint(g, x.data.copy(), sig))
 
     return from_op(x.data * sig, (x,), bwd)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor
 from .datacube import HsiCube, as_cube_array
-from .denoiser import DenoiserConfig, predict_noise
+from .denoiser import DenoiserConfig, _is_int, predict_noise
 from .diffusion import eps_from_x0
 from .ops import bicubic_upsample, concat_channels
 from .schedule import NoiseSchedule
@@ -174,8 +174,12 @@ def fuse(
     The network runs on constant views of ``params``, so inference records
     no tape and the caller's tensors are left as they are. Non-finite values
     in ``y`` or ``z``, or a non-finite network output at some step, raise
-    ``ValueError``.
+    ``ValueError``, as does a ``tile``, ``tile_stride`` or ``rng_seed`` that
+    is not an integer (a bool is not).
     """
+    for name, value in (("tile", tile), ("tile_stride", tile_stride), ("rng_seed", rng_seed)):
+        if not (_is_int(value) or name == "tile" and value is None):
+            raise ValueError(f"fuse: {name} must be an integer, got {value!r}")
     if tau.steps[-1] != sched.T:
         raise ValueError(f"tau ends at {tau.steps[-1]} but the schedule has T={sched.T}")
     if tile is not None and not 1 <= tile_stride <= tile:

@@ -5,8 +5,8 @@ finite differences) and shares no code with the implementation under test.
 ``fuse_tile_major`` and ``train_step_joint`` are the exceptions: they reuse
 the network, the DDIM update and the optimizer, and are independent only in
 their loop order, noise draws, blend and graph lifetime. So are
-``conv_bias_unfused`` and ``norm_silu_unfused``: each is the two-primitive
-chain that one fused primitive replaces.
+``conv_bias_unfused``, ``norm_conv_unfused`` and ``upsample_conv_unfused``:
+each is the chain of primitives that one fused ``conv2d`` replaces.
 """
 
 import math
@@ -24,6 +24,7 @@ from hsifusion.ops import (
     conv2d,
     group_norm,
     silu,
+    upsample_nearest,
 )
 from hsifusion.sampler import ddim_sigma, ddim_step
 from hsifusion.trainer import adam_step
@@ -84,9 +85,17 @@ def conv_bias_unfused(x, kernel, bias, stride: int, padding: int) -> Tensor:
     return add_channel_bias(conv2d(x, kernel, stride, padding), bias)
 
 
-def norm_silu_unfused(x, groups: int, gamma, beta) -> Tensor:
-    """``group_norm(x, groups, gamma, beta, silu=True)`` as two tape nodes."""
-    return silu(group_norm(x, groups, gamma, beta))
+def norm_conv_unfused(x, groups: int, gamma, beta, kernel, bias, stride: int,
+                      padding: int) -> Tensor:
+    """``conv2d(x, kernel, stride, padding, bias=bias, norm=(groups, gamma,
+    beta))`` as three tape nodes."""
+    return conv2d(silu(group_norm(x, groups, gamma, beta)), kernel, stride, padding, bias=bias)
+
+
+def upsample_conv_unfused(x, kernel, bias, stride: int, padding: int) -> Tensor:
+    """``conv2d(x, kernel, stride, padding, bias=bias, upsample=2)`` as two
+    tape nodes."""
+    return conv2d(upsample_nearest(x, 2), kernel, stride, padding, bias=bias)
 
 
 def attention_loops(x: np.ndarray, wq, wk, wv, wo) -> np.ndarray:

@@ -170,7 +170,9 @@ def test_criterion_3_gradients():
     xn = Tensor(frng.normal(size=(4, 3, 3)), requires_grad=True)
     gn = Tensor(frng.normal(size=(4,)), requires_grad=True)
     bn = Tensor(frng.normal(size=(4,)), requires_grad=True)
-    assert_grads_match(lambda: sq(ops.group_norm(xn, 2, gn, bn, silu=True)), [xn, gn, bn])
+    kn = Tensor(frng.normal(size=(2, 4, 3, 3)), requires_grad=True)
+    assert_grads_match(lambda: sq(ops.conv2d(xn, kn, 1, 1, norm=(2, gn, bn))), [xn, gn, bn, kn])
+    assert_grads_match(lambda: sq(ops.conv2d(xn, kn, 2, 1, upsample=2)), [xn, kn])
 
     # composed tiny denoiser end to end on a sampled parameter subset
     from oracles import numerical_grad

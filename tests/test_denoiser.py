@@ -125,6 +125,17 @@ class TestPredictNoise:
         b = predict_noise(params, cfg, x, 200).data
         assert np.linalg.norm(a - b) > 0
 
+    def test_inference_peak_of_the_readme_model(self, rng, peak_alloc):
+        # one untaped 128x128 evaluation, as fuse runs it: 16.24 MiB while the
+        # norms and the nearest upsamples wrote maps that each conv then
+        # copied into its padded buffer, 14.05 MiB since they write there
+        cfg = DenoiserConfig(bands=31, msi_bands=3, scale=8)
+        params = {k: Tensor(p.data) for k, p in init_params(cfg, rng).items()}
+        x = Tensor(rng.random((cfg.in_channels, 128, 128)).astype(np.float32))
+        with peak_alloc() as mem:
+            predict_noise(params, cfg, x, 3)
+        assert mem.peak < 14.5 * 2**20, f"evaluation peaked at {mem.peak / 2**20:.2f} MiB"
+
     def test_every_parameter_consumed(self, rng):
         cfg = tiny_config()
         params = init_params(cfg, rng)

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import warnings
 
 import numpy as np
@@ -14,7 +15,8 @@ from oracles import (
     bicubic_weight_loops,
     conv2d_loops,
     conv_bias_unfused,
-    norm_silu_unfused,
+    norm_conv_unfused,
+    upsample_conv_unfused,
 )
 
 
@@ -187,6 +189,16 @@ class TestBicubicUpsample:
         got = ops.bicubic_upsample(x, 8, window).data
         np.testing.assert_allclose(got, whole[(slice(None), *window)], rtol=1e-6, atol=1e-6)
 
+    def test_window_builds_only_its_rows(self, rng, peak_alloc):
+        # 6.5 MB when both whole interpolation matrices were built, the
+        # float64 (2048, 256) one among them, and the window's rows cut out;
+        # 0.2 MB when only the window's rows are built
+        x = Tensor(rng.random((1, 256, 4)).astype(np.float32))
+        with peak_alloc() as mem:
+            out = ops.bicubic_upsample(x, 8, (slice(1000, 1064), slice(None)))
+        assert out.shape == (1, 64, 32)
+        assert mem.peak < 2048 * 256 * 4, f"a 64-row window allocated {mem.peak / 1e6:.2f} MB"
+
     def test_window_gradient(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         window = (slice(1, 5), slice(3, 8))
@@ -250,15 +262,6 @@ class TestGroupNorm:
         beta = Tensor(rng.normal(size=(4,)), requires_grad=True)
         assert_grads_match(
             lambda: _sq_loss(ops.group_norm(x, 2, gamma, beta)), [x, gamma, beta]
-        )
-
-    @pytest.mark.parametrize("groups", [1, 2, 4])
-    def test_gradients_with_silu(self, rng, groups):
-        x = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
-        gamma = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        beta = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        assert_grads_match(
-            lambda: _sq_loss(ops.group_norm(x, groups, gamma, beta, silu=True)), [x, gamma, beta]
         )
 
 
@@ -396,8 +399,9 @@ class TestResampling:
 
 
 class TestFusedLayers:
-    """``conv2d(bias=)`` and ``group_norm(silu=True)`` against the two-op
-    chains they replace: the same bytes in float32, output and gradients."""
+    """``conv2d(bias=)``, ``conv2d(norm=)`` and ``conv2d(upsample=2)`` against
+    the chains of primitives they replace: the same bytes in float32, output
+    and gradients."""
 
     @staticmethod
     def _run(op, arrays, taped):
@@ -429,29 +433,92 @@ class TestFusedLayers:
 
     @pytest.mark.parametrize("groups", [1, 2, 4])
     def test_norm_silu_matches_unfused(self, rng, groups):
-        arrays = [rng.normal(size=(4, 5, 6)) * 3 + 1, rng.normal(size=(4,)),
+        # GroupNorm -> SiLU -> conv + bias against the three-node chain
+        for stride, padding in itertools.product((1, 2), (0, 1)):
+            arrays = [rng.normal(size=(4, 5, 6)) * 3 + 1, rng.normal(size=(4,)),
+                      rng.normal(size=(4,)), rng.normal(size=(3, 4, 3, 3)), rng.normal(size=(3,))]
+            self._assert_same_bytes(
+                lambda x, g, b, k, c: ops.conv2d(x, k, stride, padding, bias=c,
+                                                 norm=(groups, g, b)),
+                lambda x, g, b, k, c: norm_conv_unfused(x, groups, g, b, k, c, stride, padding),
+                arrays)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("side", [1, 3])
+    def test_upsample_matches_unfused(self, rng, stride, padding, side):
+        arrays = [rng.normal(size=(3, 4, 5)), rng.normal(size=(4, 3, side, side)),
                   rng.normal(size=(4,))]
-        self._assert_same_bytes(lambda x, g, b: ops.group_norm(x, groups, g, b, silu=True),
-                                lambda x, g, b: norm_silu_unfused(x, groups, g, b), arrays)
+        self._assert_same_bytes(
+            lambda x, k, b: ops.conv2d(x, k, stride, padding, bias=b, upsample=2),
+            lambda x, k, b: upsample_conv_unfused(x, k, b, stride, padding), arrays)
+
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_norm_gradients(self, rng, groups):
+        # odd and non-square sizes, both strides
+        for stride, padding, size in [(1, 1, (3, 3)), (2, 1, (5, 4)), (2, 0, (5, 5)),
+                                      (1, 0, (3, 4))]:
+            x = Tensor(rng.normal(size=(4, *size)), requires_grad=True)
+            gamma = Tensor(rng.normal(size=(4,)), requires_grad=True)
+            beta = Tensor(rng.normal(size=(4,)), requires_grad=True)
+            k = Tensor(rng.normal(size=(3, 4, 3, 3)), requires_grad=True)
+            b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+            assert_grads_match(
+                lambda: _sq_loss(ops.conv2d(x, k, stride, padding, bias=b,
+                                            norm=(groups, gamma, beta))),
+                [x, gamma, beta, k, b])
+
+    @pytest.mark.parametrize("stride,padding,size", [
+        (1, 1, (3, 3)), (2, 1, (3, 4)), (1, 0, (2, 3)), (2, 0, (3, 3)),
+    ])
+    def test_upsample_gradients(self, rng, stride, padding, size):
+        x = Tensor(rng.normal(size=(2, *size)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        assert_grads_match(
+            lambda: _sq_loss(ops.conv2d(x, k, stride, padding, bias=b, upsample=2)), [x, k, b])
 
     def test_each_fused_layer_records_one_node(self, op_outputs, rng):
         x = Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
         k = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
         h = ops.conv2d(x, k, padding=1, bias=Tensor(rng.normal(size=(4,)), requires_grad=True))
-        out = ops.group_norm(h, 2, Tensor(np.ones(4)), Tensor(np.zeros(4)), silu=True)
-        assert op_outputs == [h, out]
+        g = ops.conv2d(h, Tensor(rng.normal(size=(4, 4, 3, 3))), padding=1,
+                       norm=(2, Tensor(np.ones(4)), Tensor(np.zeros(4))))
+        out = ops.conv2d(g, Tensor(rng.normal(size=(2, 4, 3, 3))), padding=1, upsample=2)
+        assert op_outputs == [h, g, out]
 
     def test_conv_bias_shape_checked(self, rng):
         with pytest.raises(ValueError, match="bias"):
             ops.conv2d(Tensor(rng.normal(size=(2, 5, 5))), Tensor(rng.normal(size=(4, 2, 3, 3))),
                        bias=Tensor(rng.normal(size=(2,))))
 
+    def test_prologue_checked(self, rng):
+        x, k = Tensor(rng.normal(size=(4, 5, 5))), Tensor(rng.normal(size=(2, 4, 3, 3)))
+        norm = (2, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match="not both"):
+            ops.conv2d(x, k, padding=1, norm=norm, upsample=2)
+        for up in (0, 1.5):
+            with pytest.raises(ValueError, match="upsample"):
+                ops.conv2d(x, k, padding=1, upsample=up)
+        with pytest.raises(ValueError, match="divisible"):
+            ops.conv2d(x, k, padding=1, norm=(3, *norm[1:]))
+        with pytest.raises(ValueError, match="gamma"):
+            ops.conv2d(x, k, padding=1, norm=(2, Tensor(np.ones(2)), norm[2]))
+
     def test_norm_silu_closure_keeps_sigmoid_and_statistics(self, rng):
+        # mu, 1/std and the sigmoid; the normalized map is rebuilt from x
         x = Tensor(rng.normal(size=(8, 5, 5)), requires_grad=True)
         gamma = Tensor(rng.normal(size=(8,)), requires_grad=True)
         beta = Tensor(rng.normal(size=(8,)), requires_grad=True)
-        held = _held_arrays(ops.group_norm(x, 4, gamma, beta, silu=True))
-        assert sorted(a.shape for a in held) == [(4, 1), (4, 1), (8, 5, 5)]
+        k = Tensor(rng.normal(size=(3, 8, 3, 3)), requires_grad=True)
+        for stride in (1, 2):
+            held = _held_arrays(ops.conv2d(x, k, stride, 1, norm=(4, gamma, beta)))
+            assert sorted(a.shape for a in held) == [(4, 1), (4, 1), (8, 5, 5)]
+
+    def test_upsample_closure_keeps_no_map(self, rng):
+        x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=True)
+        assert _held_arrays(ops.conv2d(x, k, padding=1, upsample=2)) == []
 
 
 class TestComposedPipeline:
@@ -513,9 +580,10 @@ class TestRandomizedShapes:
             bias = Tensor(data_rng.normal(size=(c_out,)), requires_grad=True)
             assert_grads_match(lambda: _sq_loss(ops.conv2d(x, k, 2, 1, bias=bias)), [x, k, bias])
             assert_grads_match(
-                lambda: _sq_loss(ops.group_norm(x, groups, gamma, beta, silu=True)),
-                [x, gamma, beta],
+                lambda: _sq_loss(ops.conv2d(x, k, 1, 1, bias=bias, norm=(groups, gamma, beta))),
+                [x, gamma, beta, k, bias],
             )
+            assert_grads_match(lambda: _sq_loss(ops.conv2d(x, k, 2, 1, upsample=2)), [x, k])
 
 
 class TestFloatWidth:
@@ -538,8 +606,9 @@ class TestFloatWidth:
             "bicubic_weight_matrix": ops.bicubic_weight_matrix(6, 2, dtype=np.float32),
             "bicubic_upsample": ops.bicubic_upsample(x, 2),
             "upsample_nearest": ops.upsample_nearest(x, 2),
+            "conv2d norm": ops.conv2d(x, t(3, 4, 3, 3), padding=1, bias=t(3), norm=(2, t(4), t(4))),
+            "conv2d upsample": ops.conv2d(x, t(3, 4, 3, 3), padding=1, upsample=2),
             "group_norm": ops.group_norm(x, 2, t(4), t(4)),
-            "group_norm silu": ops.group_norm(x, 2, t(4), t(4), silu=True),
             "silu": ops.silu(x),
             "dense": ops.dense(v, t(3, 6), t(3)),
             "add_channel_bias": ops.add_channel_bias(x, t(4)),
@@ -558,6 +627,9 @@ class TestFloatWidth:
             return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
 
         x, k, b, gamma, beta = t(4, 6, 6), t(3, 4, 3, 3), t(3), t(3), t(3)
+        k_norm, k_up = t(3, 3, 3, 3), t(2, 3, 3, 3)
         h = ops.conv2d(x, k, stride=2, padding=1, bias=b)
-        backward(sum_all(ops.group_norm(h, 3, gamma, beta, silu=True)))
-        assert {p.grad.dtype for p in (x, k, b, gamma, beta)} == {np.dtype(np.float32)}
+        h = ops.conv2d(h, k_norm, padding=1, norm=(3, gamma, beta))
+        backward(sum_all(ops.conv2d(h, k_up, padding=1, upsample=2)))
+        leaves = (x, k, b, gamma, beta, k_norm, k_up)
+        assert {p.grad.dtype for p in leaves} == {np.dtype(np.float32)}

@@ -248,6 +248,18 @@ class TestFuse:
         with pytest.raises(ValueError, match=f"tile={tile}, tile_stride={stride}"):
             fuse(params, cfg, sched, y, z, select_tau(40, 1), tile=tile, tile_stride=stride)
 
+    @pytest.mark.parametrize("name,value", [
+        ("tile_stride", 4.0),  # was a TypeError from range
+        ("rng_seed", 1.5),  # was numpy's SeedSequence TypeError
+        ("rng_seed", "a"),
+        ("tile", True),  # was taken as a tile of 1
+    ])
+    def test_non_integer_arguments_named(self, fusion_setup, name, value):
+        cfg, params, sched, y, z = fusion_setup
+        kwargs = {"tile": 8, "tile_stride": 4, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            fuse(params, cfg, sched, y, z, select_tau(40, 1), **kwargs)
+
     @pytest.mark.parametrize("tile", [None, 8])
     def test_inference_records_no_tape(self, fusion_setup, op_outputs, tile):
         cfg, params, sched, y, z = fusion_setup
