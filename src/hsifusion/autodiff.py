@@ -179,7 +179,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 # ---------------------------------------------------------------------------
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+def _check_same_shape(a, b, op: str) -> None:  # Tensors or arrays
     if a.shape != b.shape:
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 

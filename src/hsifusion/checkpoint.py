@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .datacube import _atomic_open, _check_fields, _read_header, _read_payload, _write_payload
+from .datacube import (_atomic_open, _check_fields, _is_int, _read_header, _read_payload,
+                       _write_payload)
 from .denoiser import DenoiserConfig
 
 MAGIC = b"HSIFCKPT"
@@ -157,7 +158,7 @@ def _tensor_specs(path, entries) -> list[tuple[str, tuple[int, ...], str]]:
         where = f"{where} ({name!r})"
         if name in seen:
             raise CheckpointFormatError(f"{where} repeats an earlier entry's name")
-        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
             raise CheckpointFormatError(
                 f"{where} has shape {shape!r}, not a list of non-negative integers"
             )

@@ -73,14 +73,9 @@ def load_run_config(path) -> RunConfig:
     )
 
 
-def _load_triples(entries):
-    triples = []
-    for entry in entries:
-        x0 = read_cube(entry["hrhsi"])
-        y = read_cube(entry["lrhsi"])
-        z = read_cube(entry["hrmsi"])
-        triples.append((x0.data, y.data, z.data))
-    return triples
+def _load_triples(entries) -> list[tuple[HsiCube, HsiCube, HsiCube]]:
+    """The (hrhsi, lrhsi, hrmsi) cubes of each run-config data entry."""
+    return [tuple(read_cube(e[key]) for key in ("hrhsi", "lrhsi", "hrmsi")) for e in entries]
 
 
 def _sha256(path) -> str:
@@ -185,10 +180,7 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = load_run_config(args.config)
     dataset = _load_triples(cfg.train_data)
-    test = [
-        (read_cube(e["hrhsi"]), read_cube(e["lrhsi"]), read_cube(e["hrmsi"]))
-        for e in cfg.test_data
-    ]
+    test = _load_triples(cfg.test_data)
     if not dataset or not test:
         print("error: ablate needs both train and test data in the config", file=sys.stderr)
         return 2

@@ -15,6 +15,8 @@ The checkpoint format shares the payload helpers: ``_read_header`` (a JSON
 object with typed required keys), ``_read_payload`` (sizes the rest of the
 file against (shape, little-endian dtype) specs, then reads each array into
 place) and ``_write_payload`` (a byte view of each array in its dtype).
+The package's value checks live here too, for JSON objects (``_check_fields``)
+and for configs (``_int_at_least``, ``_number_in``, ``_config_from_dict``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -116,9 +118,44 @@ def _read_header(raw: bytes, path, error, required, counts=()) -> dict:
     return _check_fields(header, f"{path}: header", error, required, counts)
 
 
+def _is_int(v) -> bool:
+    # NumPy integers too, but never a bool: JSON true/false must not pass for 1/0
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _is_number(v) -> bool:
-    # never a bool, nor the Infinity and NaN that Python's json reads
-    return type(v) is int or (type(v) is float and math.isfinite(v))
+    # an integer or a finite float, NumPy's too; never a bool, nor the
+    # Infinity and NaN that Python's json reads
+    return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
+
+
+def _int_at_least(value, low: int, what: str) -> int:
+    """``value`` as a Python int if it is an integer >= ``low``; else a ValueError."""
+    if not (_is_int(value) and value >= low):
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _number_in(value, low, high, what: str, low_closed: bool = False) -> float:
+    """``value`` as a Python float if it is a number in (low, high), or in
+    [low, high) with ``low_closed``; else a ValueError."""
+    if not (_is_number(value) and low <= value < high and (low_closed or value != low)):
+        interval = f"{'[' if low_closed else '('}{low}, {high})"
+        raise ValueError(f"{what} must be a number in {interval}, got {value!r}")
+    return float(value)
+
+
+def _config_from_dict(cls, d: dict, what: str):
+    """``cls(**d)`` for a dataclass config, after naming every key of ``d``
+    that is not a field and every field without a default that ``d`` lacks."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.default_factory is MISSING and f.name not in d]
+    if missing:
+        raise ValueError(f"missing {what} keys: {', '.join(missing)}")
+    return cls(**d)
 
 
 def _check_fields(obj, where, error, required=(), counts=(), numbers=(), strings=()) -> dict:
@@ -131,7 +168,7 @@ def _check_fields(obj, where, error, required=(), counts=(), numbers=(), strings
     missing = [k for k in (*required, *counts, *numbers, *strings) if k not in obj]
     if missing:
         raise error(f"{where} has no {', '.join(map(repr, missing))}")
-    for keys, what, ok in ((counts, "a non-negative integer", lambda v: type(v) is int and v >= 0),
+    for keys, what, ok in ((counts, "a non-negative integer", lambda v: _is_int(v) and v >= 0),
                            (numbers, "a number", _is_number),
                            (strings, "a string", lambda v: isinstance(v, str))):
         for k in keys:

@@ -37,11 +37,12 @@ rejected with a ``ValueError`` naming the parameter.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .autodiff import Tensor, as_tensor
+from .datacube import _config_from_dict, _int_at_least, _is_int
 from .ops import (
     add_channel_bias,
     bicubic_upsample,
@@ -51,11 +52,6 @@ from .ops import (
     self_attention,
     silu,
 )
-
-
-def _is_int(value) -> bool:
-    # JSON true/false must not pass for 1/0
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -72,11 +68,8 @@ class DenoiserConfig:
 
     def __post_init__(self):
         for name in ("bands", "msi_bands", "scale", "base_channels", "time_embed_dim", "groups"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"model config '{name}' must be a positive integer, "
-                                 f"got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name,
+                               _int_at_least(getattr(self, name), 1, f"model config '{name}'"))
         for name in ("channel_multipliers", "attention_levels"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
@@ -124,14 +117,7 @@ class DenoiserConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenoiserConfig":
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown model config keys: {', '.join(unknown)}")
-        missing = [f.name for f in fields(cls)
-                   if f.default is MISSING and f.default_factory is MISSING and f.name not in d]
-        if missing:
-            raise ValueError(f"missing model config keys: {', '.join(missing)}")
-        return cls(**d)
+        return _config_from_dict(cls, d, "model config")
 
 
 def time_embedding(t: int, dim: int, T: int | None = None) -> np.ndarray:
@@ -234,7 +220,7 @@ def init_params(cfg: DenoiserConfig, rng: np.random.Generator,
     """
     p = _ParamView({}, rng, dtype)
     side = 2 ** (cfg.levels - 1)
-    _forward(p, cfg, Tensor(np.zeros((cfg.in_channels, side, side)), dtype=dtype), 0)
+    _forward(p, cfg, [Tensor(np.zeros((cfg.in_channels, side, side)), dtype=dtype)], 0)
     return p.params
 
 
@@ -287,13 +273,18 @@ def _attention(p: _ParamView, name: str, x: Tensor) -> Tensor:
     return self_attention(x, wq, wk, wv, p.take(name + ".wo", (c, c)))
 
 
-def _forward(p: _ParamView, cfg: DenoiserConfig, x_in: Tensor, t: int) -> Tensor:
+def _forward(p: _ParamView, cfg: DenoiserConfig, held: list, t: int) -> Tensor:
+    # ``held`` is a one-item list holding the input, which only the stem conv
+    # reads: it is emptied and the input dropped once that conv has run, so
+    # an input the caller keeps no reference to is freed there
+    x_in = held.pop()
     chans = cfg.level_channels
     emb = as_tensor(time_embedding(t, cfg.time_embed_dim), dtype=x_in.dtype)
     temb = _dense(p, "temb.fc1", emb, cfg.time_embed_dim)
     temb_act = silu(_dense(p, "temb.fc2", silu(temb), cfg.time_embed_dim))
 
     h = _conv_bias(p, "stem", x_in, chans[0])
+    del x_in
     skips = []
     for i, c in enumerate(chans):
         h = _res_block(p, f"down{i}.res", h, temb_act, cfg.groups, c)
@@ -325,7 +316,8 @@ def predict_noise(params: dict[str, Tensor], cfg: DenoiserConfig, x_in, t: int) 
     """Run the network on an assembled (2L+l, H, W) input at timestep t.
 
     The (L, H, W) output is the noise estimate or the clean-cube estimate,
-    as ``cfg.prediction`` says.
+    as ``cfg.prediction`` says. The network drops its reference to
+    ``x_in`` once the stem conv has read it.
     """
     x_in = as_tensor(x_in)
     if x_in.shape[0] != cfg.in_channels:
@@ -337,4 +329,6 @@ def predict_noise(params: dict[str, Tensor], cfg: DenoiserConfig, x_in, t: int) 
         raise ValueError(
             f"spatial size {x_in.shape[1:]} not divisible by 2^(levels-1) = {down}"
         )
-    return _forward(_ParamView(params), cfg, x_in, t)
+    held = [x_in]
+    del x_in
+    return _forward(_ParamView(params), cfg, held, t)

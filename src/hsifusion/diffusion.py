@@ -11,20 +11,15 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, absolute, as_tensor, mean_all, mul, sub
+from .autodiff import Tensor, _check_same_shape, absolute, as_tensor, mean_all, mul, sub
 from .schedule import NoiseSchedule, marginal_coeffs, posterior_coeffs
-
-
-def _check_shapes(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
 def q_sample(x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """Noised image x_t = sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps."""
     x0 = np.asarray(x0)
     eps = np.asarray(eps)
-    _check_shapes(x0, eps, "q_sample")
+    _check_same_shape(x0, eps, "q_sample")
     c_sig, c_noise = marginal_coeffs(sched, t)
     return c_sig * x0 + c_noise * eps
 
@@ -33,7 +28,7 @@ def posterior_mean(xt: np.ndarray, x0: np.ndarray, t: int, sched: NoiseSchedule)
     """Mean of q(x_{t-1} | x_t, x_0)."""
     xt = np.asarray(xt)
     x0 = np.asarray(x0)
-    _check_shapes(xt, x0, "posterior_mean")
+    _check_same_shape(xt, x0, "posterior_mean")
     c_xt, c_x0, _ = posterior_coeffs(sched, t)
     return c_xt * xt + c_x0 * x0
 
@@ -47,7 +42,7 @@ def posterior_mean_from_eps(
     """
     xt = np.asarray(xt)
     eps = np.asarray(eps)
-    _check_shapes(xt, eps, "posterior_mean_from_eps")
+    _check_same_shape(xt, eps, "posterior_mean_from_eps")
     beta = sched.beta(t)
     _, c_noise = marginal_coeffs(sched, t)
     return (xt - beta / c_noise * eps) / math.sqrt(1.0 - beta)
@@ -62,7 +57,7 @@ def eps_from_x0(
     """
     xt = np.asarray(xt)
     x0_hat = np.asarray(x0_hat)
-    _check_shapes(xt, x0_hat, "eps_from_x0")
+    _check_same_shape(xt, x0_hat, "eps_from_x0")
     c_sig, c_noise = marginal_coeffs(sched, t)
     return (xt - c_sig * x0_hat) / c_noise
 
@@ -76,8 +71,7 @@ def simple_loss(eps_true, eps_pred, p: int = 2) -> Tensor:
         raise ValueError(f"loss exponent p must be 1 or 2, got {p}")
     eps_true = as_tensor(eps_true)
     eps_pred = as_tensor(eps_pred)
-    if eps_true.shape != eps_pred.shape:
-        raise ValueError(f"simple_loss: shape mismatch {eps_true.shape} vs {eps_pred.shape}")
+    _check_same_shape(eps_true, eps_pred, "simple_loss")
     diff = sub(eps_true, eps_pred)
     if p == 1:
         return mean_all(absolute(diff))
@@ -96,7 +90,7 @@ def step_kl(
     if t < 2:
         raise ValueError("step_kl is undefined at t = 1 (zero posterior variance)")
     mean_pred = np.asarray(mean_pred)
-    _check_shapes(np.asarray(xt), mean_pred, "step_kl")
+    _check_same_shape(np.asarray(xt), mean_pred, "step_kl")
     mu = posterior_mean(xt, x0, t, sched)
     var = posterior_coeffs(sched, t)[2]
     return float(np.sum((mu - mean_pred) ** 2) / (2.0 * var))

@@ -7,8 +7,8 @@ deterministic given the initial noise. Untiled fusion is one window that
 covers the whole scene, and it runs the same loop as tiled fusion. Fusion
 runs step-major: every window takes a step before any takes the next. Noise
 never exists as a whole-scene cube: the initial noise and each step's
-posterior noise are drawn one band at a time, the band's window crops
-written into (or added to) the window states, and several windows are
+posterior noise are drawn one band at a time, each band's window crops
+added to the window states (which start at zero), and several windows are
 blended band by band. The network input of a window is built when the
 window steps, from the window's crop of z and the same window of the bicubic
 upsample of y, which ``bicubic_upsample`` computes without the rest of the
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, as_tensor
-from .datacube import HsiCube, as_cube_array
-from .denoiser import DenoiserConfig, _is_int, predict_noise
+from .datacube import HsiCube, _is_int, as_cube_array
+from .denoiser import DenoiserConfig, predict_noise
 from .diffusion import eps_from_x0
 from .ops import bicubic_upsample, concat_channels
 from .schedule import NoiseSchedule
@@ -211,39 +211,34 @@ def fuse(
     windows = [np.s_[:, :, :]] if tile is None else [
         np.s_[:, r:r + tile, c:c + tile] for r in _tile_starts(H, tile, tile_stride)
         for c in _tile_starts(W, tile, tile_stride)]
-    # each state has its window's size and is filled from the initial noise's
-    # bands as they are drawn, so no whole-scene draw exists. No state or
-    # band stays bound to a loop variable: it would outlive the step that
-    # replaced it, so loops index the states and bands are deleted
-    states = [np.empty((cfg.bands, *z_arr[sl].shape[1:]), dtype=np.float32) for sl in windows]
-    for b, band in enumerate(_normal_bands(rng, shape)):
-        for k, sl in enumerate(windows):
-            states[k][b] = band[sl[1:]]
-    del band
+    # each state has its window's size and starts at zero, and the initial
+    # noise is the sigma = 1 case of adding a step's noise, so no whole-scene
+    # draw exists. No state stays bound to a loop variable: it would outlive
+    # the step that replaced it, so the step loop indexes the states
+    states = [np.zeros((cfg.bands, *z_arr[sl].shape[1:]), dtype=np.float32) for sl in windows]
+    _add_noise(rng, shape, states, windows, 1.0)
     y_lr = as_tensor(y_arr, dtype=np.float32)
     steps = tau.steps[::-1]
     for t, t_prev in zip(steps, steps[1:] + (0,)):
         sigma = ddim_sigma(sched, t, t_prev, sigma_mode)
         for k, sl in enumerate(windows):
             x = states[k]
-            cond = concat_channels([as_tensor(x), as_tensor(z_arr[sl], dtype=np.float32),
-                                    bicubic_upsample(y_lr, cfg.scale, sl[1:])])
-            eps_hat = predict_noise(params, cfg, cond, t).data
+            # the input is passed unbound, so the network frees it once the
+            # stem conv has read it
+            eps_hat = predict_noise(params, cfg, concat_channels([
+                as_tensor(x), as_tensor(z_arr[sl], dtype=np.float32),
+                bicubic_upsample(y_lr, cfg.scale, sl[1:])]), t).data
             if not np.isfinite(eps_hat).all():
                 raise ValueError(f"network output is non-finite at DDIM step t={t}")
             if cfg.prediction == "x0":
                 eps_hat = eps_from_x0(x, eps_hat, t, sched)
             states[k] = _ddim_mean(x, eps_hat, t, t_prev, sigma, sched)
-        del x, cond, eps_hat
-        # the step's noise is the additive sigma * z of the update: drawn for
-        # the whole scene a band at a time once every tile has stepped, and
-        # drawn even where sigma is 0, so later steps see the same generator
+        del x, eps_hat
+        # the step's noise is the additive sigma * z of the update, added once
+        # every window has stepped; with tau strictly increasing, a posterior
+        # step's sigma is never 0
         if sigma_mode != "zero" and t_prev > 0:
-            for b, band in enumerate(_normal_bands(rng, shape)):
-                if sigma > 0:
-                    for k, sl in enumerate(windows):
-                        states[k][b] += sigma * band[sl[1:]]
-            del band
+            _add_noise(rng, shape, states, windows, sigma)
 
     fused = states.pop() if len(states) == 1 else _blend(states, windows, shape, tile, tile_stride)
     np.clip(fused, 0.0, 1.0, out=fused)
@@ -257,6 +252,15 @@ def _normal_bands(rng: np.random.Generator, shape):
     generator's final state are those of the whole draw, with no cube."""
     for _ in range(shape[0]):
         yield rng.normal(size=shape[1:]).astype(np.float32)
+
+
+def _add_noise(rng: np.random.Generator, shape, states, windows, sigma: float) -> None:
+    """Add sigma times each window's crop of one whole-scene draw
+    ``rng.normal(size=shape).astype(np.float32)`` to the window states,
+    drawing the scene one band at a time."""
+    for b, band in enumerate(_normal_bands(rng, shape)):
+        for state, sl in zip(states, windows):
+            state[b] += sigma * band[sl[1:]]
 
 
 def _tile_starts(extent: int, tile: int, stride: int) -> list[int]:

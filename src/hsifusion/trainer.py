@@ -15,20 +15,10 @@ import numpy as np
 
 from .autodiff import Tensor, backward, scale as t_scale
 from .checkpoint import save_checkpoint, load_checkpoint
-from .datacube import as_cube_array
-from .denoiser import (
-    DenoiserConfig,
-    _is_int,
-    assemble_condition,
-    init_params,
-    predict_noise,
-)
+from .datacube import _config_from_dict, _int_at_least, _number_in, as_cube_array
+from .denoiser import DenoiserConfig, assemble_condition, init_params, predict_noise
 from .diffusion import q_sample, simple_loss
 from .schedule import NoiseSchedule, linear_schedule
-
-
-def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 class TrainingError(RuntimeError):
@@ -51,29 +41,18 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("iterations", 0), ("batch_size", 1), ("patch", 1), ("cycle", 1),
                           ("loss_p", 1), ("T", 1), ("seed", 0), ("checkpoint_every", 0)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ValueError(f"train config '{name}' must be an integer >= {low}, "
-                                 f"got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, _int_at_least(getattr(self, name), low, f"train config '{name}'"))
         if self.loss_p not in (1, 2):
             raise ValueError(f"train config 'loss_p' must be 1 or 2, got {self.loss_p!r}")
         for name, high in (("lr_max", math.inf), ("beta_end", 1.0)):
-            value = getattr(self, name)
-            if not _is_real(value) or not 0.0 < value < high:
-                raise ValueError(f"train config '{name}' must be a number in (0, {high}), "
-                                 f"got {value!r}")
-            setattr(self, name, float(value))
+            setattr(self, name, _number_in(getattr(self, name), 0, high, f"train config '{name}'"))
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown train config keys: {', '.join(unknown)}")
-        return cls(**d)
+        return _config_from_dict(cls, d, "train config")
 
 
 @dataclass
@@ -88,15 +67,10 @@ class AdamState:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not _is_int(self.step) or self.step < 0:
-            raise ValueError(f"optimizer 'step' must be an integer >= 0, got {self.step!r}")
-        self.step = int(self.step)
-        for name, what, ok in (("beta1", "a number in [0, 1)", lambda v: 0.0 <= v < 1.0),
-                               ("beta2", "a number in [0, 1)", lambda v: 0.0 <= v < 1.0),
-                               ("eps", "a finite number > 0", lambda v: 0.0 < v < math.inf)):
-            value = getattr(self, name)
-            if not (_is_real(value) and ok(value)):
-                raise ValueError(f"optimizer '{name}' must be {what}, got {value!r}")
+        self.step = _int_at_least(self.step, 0, "optimizer 'step'")
+        self.beta1 = _number_in(self.beta1, 0, 1, "optimizer 'beta1'", low_closed=True)
+        self.beta2 = _number_in(self.beta2, 0, 1, "optimizer 'beta2'", low_closed=True)
+        self.eps = _number_in(self.eps, 0, math.inf, "optimizer 'eps'")
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
@@ -243,8 +217,7 @@ def train(
     step<TAB>loss<TAB>lr lines, one every ``log_every`` steps and one at
     the last step.
     """
-    if not _is_int(log_every) or log_every < 1:
-        raise ValueError(f"log_every must be an integer >= 1, got {log_every!r}")
+    _int_at_least(log_every, 1, "log_every")
     if not len(dataset):
         raise ValueError("training dataset is empty")
     _check_patch(train_cfg.patch, model_cfg)

@@ -113,6 +113,21 @@ class TestAdam:
         with pytest.raises(ValueError, match=f"optimizer '{field}' must be"):
             AdamState(m={}, v={}, **{field: value})
 
+    def test_numpy_scalars_become_python_numbers(self, rng, tmp_path):
+        # a float32 beta1 once passed the check and then made save_checkpoint
+        # raise "Object of type float32 is not JSON serializable"
+        cfg = tiny_model()
+        params = init_params(cfg, rng)
+        moments = AdamState.for_params(params)
+        opt = AdamState(moments.m, moments.v, step=np.int64(3), beta1=np.float32(0.9),
+                        beta2=np.float64(0.99), eps=np.float32(1e-6))
+        assert type(opt.step) is int
+        assert all(type(getattr(opt, k)) is float for k in ("beta1", "beta2", "eps"))
+        save_checkpoint(tmp_path / "np.ckpt", cfg, params, opt.to_dict(), step=3)
+        loaded = AdamState.from_dict(load_checkpoint(tmp_path / "np.ckpt").opt_state)
+        assert (loaded.step, loaded.beta1, loaded.beta2, loaded.eps) == (
+            3, float(np.float32(0.9)), 0.99, float(np.float32(1e-6)))
+
     def test_moments_shaped_like_params(self, rng):
         cfg = tiny_model()
         params = init_params(cfg, rng)
