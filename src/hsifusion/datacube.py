@@ -49,10 +49,12 @@ class HsiCube:
         self.data = np.asarray(self.data)
         if self.data.ndim != 3:
             raise ValueError(f"cube data must be 3-D (bands, H, W), got {self.data.shape}")
-        lo, hi = self.value_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"value_range must be finite with lo < hi, got {self.value_range}")
-        self.value_range = (float(lo), float(hi))
+        vr = self.value_range
+        if not (isinstance(vr, (tuple, list)) and len(vr) == 2 and all(map(_is_number, vr))
+                and vr[0] < vr[1]):
+            raise ValueError(f"value_range must be two finite numbers with lo < hi, "
+                             f"got {self.value_range!r}")
+        self.value_range = (float(vr[0]), float(vr[1]))
         if self.wavelengths_nm is not None:
             self.wavelengths_nm = [float(v) for v in self.wavelengths_nm]
             if not all(map(math.isfinite, self.wavelengths_nm)):

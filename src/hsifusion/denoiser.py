@@ -2,11 +2,13 @@
 
 The network sees the noisy target, the high-resolution few-band image, and a
 bicubic blow-up of the low-resolution many-band image, concatenated along
-channels, plus the timestep through a sinusoidal embedding. Architecture:
-stem conv, a down path of residual blocks (time bias injected after the first
-conv of each block, optional attention, strided-conv downsample), a
-bottleneck of residual/attention/residual, a mirrored up path consuming skip
-concatenations, and a zero-initialized output conv.
+channels, plus the timestep through a sinusoidal embedding. That input is
+built in one place, ``assemble_condition``, for training and for each
+fusion window. Architecture: stem conv, a down path of residual blocks (time
+bias injected after the first conv of each block, optional attention,
+strided-conv downsample), a bottleneck of residual/attention/residual, a
+mirrored up path consuming skip concatenations, and a zero-initialized output
+conv.
 
 A residual block is GroupNorm -> SiLU -> conv + bias, twice, and an up step
 is nearest upsample -> conv + bias. Each of those is one primitive,
@@ -135,24 +137,40 @@ def time_embedding(t: int, dim: int, T: int | None = None) -> np.ndarray:
     return e
 
 
-def assemble_condition(xt, y, z) -> Tensor:
-    """Stack [x_t, z, bicubic_upsample(y)] along channels.
+def assemble_condition(xt, y, z, window=(slice(None), slice(None))) -> Tensor:
+    """Stack [x_t, z, bicubic_upsample(y)] along channels over the (rows, cols)
+    ``window`` of z's grid that x_t covers, by default the whole grid.
 
-    x_t is (L, H, W), y is (L, h, w) with H = h*S and W = w*S, z is (l, H, W).
+    y is (L, h, w) and z is (l, h*S, w*S), both whole; x_t is (L, H, W) with
+    (H, W) the window's size. The result is bitwise the crop of the whole
+    condition, and y and z are cast to x_t's float width.
     """
-    xt, y, z = as_tensor(xt), as_tensor(y), as_tensor(z)
+    xt = as_tensor(xt)
+    y = as_tensor(y, dtype=xt.dtype)
+    z = z.data if isinstance(z, Tensor) else np.asarray(z)
     L, H, W = xt.shape
     if y.shape[0] != L:
         raise ValueError(f"band mismatch: x_t has {L} bands, y has {y.shape[0]}")
+    (h, w), (zh, zw) = y.shape[1:], z.shape[1:]
+    if zh % h or zw % w or zh // h != zw // w:
+        raise ValueError(f"y size {(h, w)} does not divide z size {(zh, zw)} by a common factor")
+    y_up = bicubic_upsample(y, zh // h, window)  # refuses anything but two slices
+    if not all(s.step is None and 0 <= (s.start or 0) < (n if s.stop is None else s.stop) <= n
+               for s, n in zip(window, (zh, zw))):
+        raise ValueError(f"window {window!r} is not inside z's grid {(zh, zw)}")
+    z = as_tensor(z[:, window[0], window[1]], dtype=xt.dtype)
     if z.shape[1:] != (H, W):
         raise ValueError(f"z spatial size {z.shape[1:]} != x_t spatial size {(H, W)}")
-    h, w = y.shape[1], y.shape[2]
-    if H % h != 0 or W % w != 0 or H // h != W // w:
-        raise ValueError(
-            f"y size {(h, w)} does not divide x_t size {(H, W)} by a common factor"
-        )
-    y_up = bicubic_upsample(y, H // h)
     return concat_channels([xt, z, y_up])
+
+
+def _check_pair(cfg: DenoiserConfig, y: np.ndarray, z: np.ndarray) -> None:
+    # an observed pair fits cfg by its bands and by z at cfg.scale times y's size
+    for name, arr, bands in (("y", y, cfg.bands), ("z", z, cfg.msi_bands)):
+        if arr.shape[0] != bands:
+            raise ValueError(f"{name} has {arr.shape[0]} bands, the model expects {bands}")
+    if z.shape[1:] != (y.shape[1] * cfg.scale, y.shape[2] * cfg.scale):
+        raise ValueError(f"z size {z.shape[1:]} is not {cfg.scale}x the y size {y.shape[1:]}")
 
 
 # ---------------------------------------------------------------------------

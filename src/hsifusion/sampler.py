@@ -9,12 +9,11 @@ runs step-major: every window takes a step before any takes the next. Noise
 never exists as a whole-scene cube: the initial noise and each step's
 posterior noise are drawn one band at a time, each band's window crops
 added to the window states (which start at zero), and several windows are
-blended band by band. The network input of a window is built when the
-window steps, from the window's crop of z and the same window of the bicubic
-upsample of y, which ``bicubic_upsample`` computes without the rest of the
-scene. Memory therefore scales with the window states, one band and one
-window's input, not with the step count, a float64 scene or a scene-sized
-condition; the network's own memory does not, as ``fuse`` says.
+blended band by band. A window's network input is built when the window
+steps, without the rest of the scene. Memory therefore scales with the
+window states, one band and one window's input, not with the step count, a
+float64 scene or a scene-sized condition; the network's own memory does
+not, as ``fuse`` says.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor
+from .autodiff import Tensor, _check_same_shape
 from .datacube import HsiCube, _is_int, as_cube_array
-from .denoiser import DenoiserConfig, predict_noise
+from .denoiser import DenoiserConfig, _check_pair, assemble_condition, predict_noise
 from .diffusion import eps_from_x0
-from .ops import bicubic_upsample, concat_channels
 from .schedule import NoiseSchedule
 
 
@@ -39,7 +37,10 @@ class TauSchedule:
     steps: tuple[int, ...]
 
     def __post_init__(self):
-        steps = tuple(int(s) for s in self.steps)
+        steps = tuple(self.steps)
+        if not all(map(_is_int, steps)):
+            raise ValueError(f"tau schedule steps must be integers, got {steps!r}")
+        steps = tuple(map(int, steps))
         if not steps:
             raise ValueError("tau schedule must be non-empty")
         if any(b <= a for a, b in zip(steps, steps[1:])):
@@ -97,8 +98,8 @@ def ddim_step(
     ``eps_hat`` and ``noise`` must have the shape of ``xt``.
     """
     out = _ddim_mean(xt, eps_hat, t, t_prev, sigma, sched)
-    if noise is not None and np.shape(noise) != out.shape:
-        raise ValueError(f"noise has shape {np.shape(noise)}, x_t has {out.shape}")
+    if noise is not None:
+        _check_same_shape(np.asarray(noise), out, "ddim_step noise")
     if sigma > 0 and t_prev > 0:
         if noise is None:
             raise ValueError("stochastic ddim_step needs a noise array")
@@ -125,8 +126,7 @@ def _ddim_mean(xt, eps_hat, t: int, t_prev: int, sigma: float,
 
     xt = np.asarray(xt)
     eps_hat = np.asarray(eps_hat)
-    if eps_hat.shape != xt.shape:
-        raise ValueError(f"eps_hat has shape {eps_hat.shape}, x_t has {xt.shape}")
+    _check_same_shape(eps_hat, xt, "ddim_step eps_hat")
     x0_hat = (xt - math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(ab_t)
     out = math.sqrt(ab_prev) * x0_hat
     direction = math.sqrt(max(1.0 - ab_prev - sigma**2, 0.0))
@@ -162,20 +162,19 @@ def fuse(
     not change the per-pixel noise. Each window takes the deterministic
     part of the step; once all have, the step's field is drawn a band at a
     time and sigma times each band's crop is added to the window states,
-    which is the same update as drawing the field first. A window's
-    condition channels, its crop of z and its window of the bicubic upsample
-    of y, are built at each of its steps, bitwise the crops of whole-scene
-    ones, and dropped once the network has read them. The draw order is
-    fixed: the initial noise, then one field per noisy step. A network that
-    predicts x0 (``cfg.prediction == "x0"``) has its output turned into the
-    implied noise before each DDIM step. Output values are clamped to
-    [0, 1].
+    which is the same update as drawing the field first. A window's network
+    input is built at each of its steps by ``assemble_condition`` over the
+    window, bitwise the crop of the whole-scene input, and dropped once the
+    network's stem has read it. The draw order is fixed: the initial noise,
+    then one field per noisy step. A network that predicts x0
+    (``cfg.prediction == "x0"``) has its output turned into the implied
+    noise before each DDIM step. Output values are clamped to [0, 1].
 
     The network runs on constant views of ``params``, so inference records
     no tape and the caller's tensors are left as they are. Non-finite values
-    in ``y`` or ``z``, or a non-finite network output at some step, raise
-    ``ValueError``, as does a ``tile``, ``tile_stride`` or ``rng_seed`` that
-    is not an integer (a bool is not).
+    in ``y`` or ``z``, a pair that does not fit ``cfg``, or a non-finite
+    network output at some step, raise ``ValueError``, as does a ``tile``,
+    ``tile_stride`` or ``rng_seed`` that is not an integer (a bool is not).
     """
     for name, value in (("tile", tile), ("tile_stride", tile_stride), ("rng_seed", rng_seed)):
         if not (_is_int(value) or name == "tile" and value is None):
@@ -193,31 +192,23 @@ def fuse(
     for label, arr in (("y", y_arr), ("z", z_arr)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{label} contains non-finite values")
-    if y_arr.shape[0] != cfg.bands:
-        raise ValueError(f"y has {y_arr.shape[0]} bands, checkpoint expects {cfg.bands}")
-    if z_arr.shape[0] != cfg.msi_bands:
-        raise ValueError(f"z has {z_arr.shape[0]} bands, checkpoint expects {cfg.msi_bands}")
+    _check_pair(cfg, y_arr, z_arr)
     H, W = z_arr.shape[1:]
-    if (H, W) != (y_arr.shape[1] * cfg.scale, y_arr.shape[2] * cfg.scale):
-        raise ValueError(
-            f"z size {(H, W)} is not {cfg.scale}x the y size"
-            f" {(y_arr.shape[1], y_arr.shape[2])}"
-        )
 
     # zero-copy constants: no network evaluation below records a tape
     params = {n: Tensor(p.data, dtype=p.data.dtype.type) for n, p in params.items()}
     rng = np.random.default_rng(rng_seed)
     shape = (cfg.bands, H, W)
-    windows = [np.s_[:, :, :]] if tile is None else [
-        np.s_[:, r:r + tile, c:c + tile] for r in _tile_starts(H, tile, tile_stride)
+    # (rows, cols) windows inside the scene; a tile larger than the scene is cut
+    windows = [np.s_[:, :]] if tile is None else [
+        np.s_[r:min(r + tile, H), c:min(c + tile, W)] for r in _tile_starts(H, tile, tile_stride)
         for c in _tile_starts(W, tile, tile_stride)]
     # each state has its window's size and starts at zero, and the initial
     # noise is the sigma = 1 case of adding a step's noise, so no whole-scene
     # draw exists. No state stays bound to a loop variable: it would outlive
     # the step that replaced it, so the step loop indexes the states
-    states = [np.zeros((cfg.bands, *z_arr[sl].shape[1:]), dtype=np.float32) for sl in windows]
+    states = [np.zeros((cfg.bands, *z_arr[0][sl].shape), dtype=np.float32) for sl in windows]
     _add_noise(rng, shape, states, windows, 1.0)
-    y_lr = as_tensor(y_arr, dtype=np.float32)
     steps = tau.steps[::-1]
     for t, t_prev in zip(steps, steps[1:] + (0,)):
         sigma = ddim_sigma(sched, t, t_prev, sigma_mode)
@@ -225,9 +216,7 @@ def fuse(
             x = states[k]
             # the input is passed unbound, so the network frees it once the
             # stem conv has read it
-            eps_hat = predict_noise(params, cfg, concat_channels([
-                as_tensor(x), as_tensor(z_arr[sl], dtype=np.float32),
-                bicubic_upsample(y_lr, cfg.scale, sl[1:])]), t).data
+            eps_hat = predict_noise(params, cfg, assemble_condition(x, y_arr, z_arr, sl), t).data
             if not np.isfinite(eps_hat).all():
                 raise ValueError(f"network output is non-finite at DDIM step t={t}")
             if cfg.prediction == "x0":
@@ -246,21 +235,15 @@ def fuse(
     return HsiCube(fused, value_range=(0.0, 1.0), name=name)
 
 
-def _normal_bands(rng: np.random.Generator, shape):
-    """The bands of ``rng.normal(size=shape).astype(np.float32)``, one (H, W)
-    band at a time: the generator fills C order, so the values and the
-    generator's final state are those of the whole draw, with no cube."""
-    for _ in range(shape[0]):
-        yield rng.normal(size=shape[1:]).astype(np.float32)
-
-
 def _add_noise(rng: np.random.Generator, shape, states, windows, sigma: float) -> None:
     """Add sigma times each window's crop of one whole-scene draw
     ``rng.normal(size=shape).astype(np.float32)`` to the window states,
-    drawing the scene one band at a time."""
-    for b, band in enumerate(_normal_bands(rng, shape)):
+    drawing the scene one (H, W) band at a time: the generator fills C order,
+    so the values and its final state are those of the whole draw."""
+    for b in range(shape[0]):
+        band = rng.normal(size=shape[1:]).astype(np.float32)
         for state, sl in zip(states, windows):
-            state[b] += sigma * band[sl[1:]]
+            state[b] += sigma * band[sl]
 
 
 def _tile_starts(extent: int, tile: int, stride: int) -> list[int]:
@@ -279,14 +262,14 @@ def _blend(states, windows, shape, tile, stride) -> np.ndarray:
     w2d = np.outer(win[:states[0].shape[1]], win[:states[0].shape[2]])
     weight = np.zeros(shape[1:], dtype=np.float64)
     for sl in windows:
-        weight[sl[1:]] += w2d
+        weight[sl] += w2d
     np.maximum(weight, 1e-12, out=weight)
     out = np.empty(shape, dtype=np.float32)
     acc = np.empty(shape[1:], dtype=np.float64)
     for b in range(shape[0]):
         acc.fill(0.0)
         for st, sl in zip(states, windows):
-            acc[sl[1:]] += st[b] * w2d
+            acc[sl] += st[b] * w2d
         np.divide(acc, weight, out=out[b])
     states.clear()
     return out

@@ -15,8 +15,9 @@ import numpy as np
 
 from .autodiff import Tensor, backward, scale as t_scale
 from .checkpoint import save_checkpoint, load_checkpoint
-from .datacube import _config_from_dict, _int_at_least, _number_in, as_cube_array
-from .denoiser import DenoiserConfig, assemble_condition, init_params, predict_noise
+from .datacube import (_atomic_write_text, _config_from_dict, _int_at_least, _number_in,
+                       as_cube_array)
+from .denoiser import DenoiserConfig, _check_pair, assemble_condition, init_params, predict_noise
 from .diffusion import q_sample, simple_loss
 from .schedule import NoiseSchedule, linear_schedule
 
@@ -171,7 +172,7 @@ def train_step(
             t = int(rng.integers(1, sched.T + 1))
             eps = rng.standard_normal(x0.shape).astype(dtype)
             xt = q_sample(x0, t, eps, sched)
-            cond = assemble_condition(xt, np.asarray(y, dtype=dtype), np.asarray(z, dtype=dtype))
+            cond = assemble_condition(xt, y, z)
             pred = predict_noise(params, cfg, cond, t)
             item_loss = simple_loss(x0 if cfg.prediction == "x0" else eps, pred, loss_p)
             del xt, cond, pred
@@ -202,6 +203,20 @@ def _check_patch(patch: int, model_cfg: DenoiserConfig) -> None:
                          f"and by 2^(levels-1) = {down}")
 
 
+def _check_dataset(dataset, model_cfg: DenoiserConfig) -> None:
+    # every (x0, y, z) triple must fit the model: y and z as fusion needs
+    # them, and x0 with the model's bands on z's grid
+    for i, triple in enumerate(dataset):
+        try:
+            x0, y, z = map(as_cube_array, triple)
+            _check_pair(model_cfg, y, z)
+            if x0.shape != (model_cfg.bands, *z.shape[1:]):
+                raise ValueError(f"x0 has shape {x0.shape}, the model and z need "
+                                 f"{(model_cfg.bands, *z.shape[1:])}")
+        except ValueError as exc:
+            raise ValueError(f"training triple {i}: {exc}") from None
+
+
 def train(
     train_cfg: TrainConfig,
     model_cfg: DenoiserConfig,
@@ -215,14 +230,18 @@ def train(
     Writes ``checkpoint_<step>.ckpt`` every ``checkpoint_every`` steps, a
     final ``checkpoint_final.ckpt``, and a ``loss_log.tsv`` with
     step<TAB>loss<TAB>lr lines, one every ``log_every`` steps and one at
-    the last step.
+    the last step. A resumed run continues the log of the run it resumes:
+    the lines after the checkpoint's step are cut before new ones are added.
+    A dataset triple that does not fit ``model_cfg``, or a checkpoint whose
+    model or noise schedule differs from the requested one, is refused
+    before anything is written.
     """
     _int_at_least(log_every, 1, "log_every")
     if not len(dataset):
         raise ValueError("training dataset is empty")
     _check_patch(train_cfg.patch, model_cfg)
+    _check_dataset(dataset, model_cfg)
 
-    os.makedirs(out_dir, exist_ok=True)
     sched = linear_schedule(train_cfg.T, train_cfg.beta_end)
     sched_info = {"T": train_cfg.T, "beta_end": train_cfg.beta_end}
 
@@ -234,6 +253,9 @@ def train(
             )
         if ckpt.config != model_cfg:
             raise ValueError("checkpoint config disagrees with the requested model config")
+        if ckpt.schedule is not None and {k: ckpt.schedule[k] for k in sched_info} != sched_info:
+            raise ValueError(f"checkpoint schedule {ckpt.schedule} disagrees with the "
+                             f"requested schedule {sched_info}")
         params = ckpt.params
         opt = AdamState.from_dict(ckpt.opt_state)
         start_step = ckpt.step
@@ -242,11 +264,16 @@ def train(
         opt = AdamState.for_params(params)
         start_step = 0
 
+    os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "loss_log.tsv")
-    log_mode = "a" if resume_from is not None else "w"
     final_path = os.path.join(out_dir, "checkpoint_final.ckpt")
+    kept = []  # the log's lines up to the step this run starts from
+    if os.path.exists(log_path):
+        with open(log_path, encoding="utf-8") as log:
+            kept = [line for line in log if int(line.split("\t", 1)[0]) <= start_step]
+    _atomic_write_text(log_path, "".join(kept))
 
-    with open(log_path, log_mode, encoding="utf-8") as log:
+    with open(log_path, "a", encoding="utf-8") as log:
         for step in range(start_step, train_cfg.iterations):
             lr = cosine_lr(step, train_cfg.lr_max, train_cfg.cycle)
             rng = _stream_rng(train_cfg.seed, 1, step)

@@ -16,6 +16,13 @@ class TestHsiCube:
         with pytest.raises(ValueError, match="lo < hi"):
             HsiCube(rng.random((1, 2, 2)), value_range=(1.0, 0.0))
 
+    @pytest.mark.parametrize("value_range", [("a", 1), (True, 2), (0, "1"), (None, 1),
+                                             (0, 1, 2), 5])
+    def test_value_range_must_be_two_numbers(self, rng, value_range):
+        # ("a", 1) raised a TypeError naming no field, and (True, 2) became (1.0, 2.0)
+        with pytest.raises(ValueError, match="value_range"):
+            HsiCube(rng.random((1, 2, 2)), value_range=value_range)
+
     def test_wavelength_count_checked(self, rng):
         with pytest.raises(ValueError, match="wavelengths"):
             HsiCube(rng.random((3, 2, 2)), wavelengths_nm=[400, 500])

@@ -14,6 +14,7 @@ from hsifusion.denoiser import (
     time_embedding,
 )
 from hsifusion.diffusion import simple_loss
+from hsifusion.sampler import _tile_starts
 
 from oracles import numerical_grad
 
@@ -85,6 +86,51 @@ class TestAssembleCondition:
             assemble_condition(xt, rng.normal(size=(2, 3, 3)), z)
         with pytest.raises(ValueError, match="spatial"):
             assemble_condition(xt, rng.normal(size=(2, 2, 2)), rng.normal(size=(1, 6, 6)))
+
+    @pytest.mark.parametrize("size,tile,stride", [((16, 16), 8, 4), ((16, 40), 24, 8),
+                                                  ((40, 16), 24, 8)])
+    def test_window_is_the_crop_of_the_whole_condition(self, rng, size, tile, stride):
+        # every window of the fusion tests' tilings at scale 4: edge windows,
+        # and 24-pixel tiles cut to 16 by the scene edge
+        H, W = size
+        xt = rng.normal(size=(4, H, W)).astype(np.float32)
+        y = rng.random((4, H // 4, W // 4)).astype(np.float32)
+        z = rng.random((2, H, W)).astype(np.float32)
+        whole = assemble_condition(xt, y, z).data
+        windows = [np.s_[r:min(r + tile, H), c:min(c + tile, W)]
+                   for r in _tile_starts(H, tile, stride) for c in _tile_starts(W, tile, stride)]
+        assert len(windows) == {(16, 16): 9, (16, 40): 3, (40, 16): 3}[size]
+        for rows, cols in windows:
+            got = assemble_condition(xt[:, rows, cols], y, z, window=(rows, cols)).data
+            assert got.dtype == np.float32
+            assert got.tobytes() == np.ascontiguousarray(whole[:, rows, cols]).tobytes()
+
+    def test_observations_take_the_width_of_x_t(self, rng):
+        xt = rng.normal(size=(2, 8, 8)).astype(np.float32)
+        y, z = rng.normal(size=(2, 2, 2)), rng.normal(size=(1, 8, 8))
+        got = assemble_condition(xt, y, z)
+        want = assemble_condition(xt, y.astype(np.float32), z.astype(np.float32))
+        assert got.dtype == np.float32 and got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("window,xt_size", [
+        (np.s_[8:24, 0:16], (8, 16)),   # numpy would cut it to 8 rows
+        (np.s_[-8:, 0:16], (8, 16)),
+        (np.s_[0:16:2, 0:16], (8, 16)),
+        (np.s_[4:4, 0:16], (0, 16)),
+        ((slice(0, 16),), (16, 16)),
+        ([slice(0, 16), slice(0, 16)], (16, 16)),
+    ])
+    def test_window_outside_z_grid_refused(self, rng, window, xt_size):
+        xt = rng.normal(size=(2, *xt_size))
+        y, z = rng.normal(size=(2, 4, 4)), rng.normal(size=(1, 16, 16))
+        with pytest.raises(ValueError, match="inside z's grid|pair of slices"):
+            assemble_condition(xt, y, z, window=window)
+
+    def test_window_of_another_size_than_x_t_refused(self, rng):
+        xt = rng.normal(size=(2, 16, 16))
+        y, z = rng.normal(size=(2, 4, 4)), rng.normal(size=(1, 16, 16))
+        with pytest.raises(ValueError, match="spatial"):
+            assemble_condition(xt, y, z, window=np.s_[0:8, 0:16])
 
 
 class TestPredictNoise:

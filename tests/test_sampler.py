@@ -8,7 +8,7 @@ import hsifusion.sampler as sampler_mod
 from hsifusion.autodiff import Tensor
 from hsifusion.datacube import HsiCube
 from hsifusion.degrade import ObservationModel, simulate_observations, uniform_band_groups
-from hsifusion.denoiser import DenoiserConfig, init_params
+from hsifusion.denoiser import DenoiserConfig, assemble_condition, init_params
 from hsifusion.diffusion import posterior_mean_from_eps, q_sample
 from hsifusion.sampler import TauSchedule, ddim_sigma, ddim_step, fuse, select_tau
 from hsifusion.schedule import linear_schedule, posterior_coeffs
@@ -39,6 +39,13 @@ class TestSelectTau:
             select_tau(10, 0)
         with pytest.raises(ValueError):
             select_tau(10, 11)
+
+    @pytest.mark.parametrize("steps", [("5", 10), (2.7, 10), (True, 10), (np.float64(3.0), 10),
+                                       (5, None)])
+    def test_non_integer_steps_refused(self, steps):
+        # they were coerced: "5" ran step 5, 2.7 ran step 2 and True step 1
+        with pytest.raises(ValueError, match="tau schedule steps must be integers"):
+            TauSchedule(steps)
 
     def test_tau_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -130,7 +137,7 @@ class TestDdimStep:
         # a (H, W) or (W,) array would broadcast across the bands unnoticed
         xt = rng.normal(size=(3, 5, 6))
         bad = "eps_hat" if eps_shape != xt.shape else "noise"
-        with pytest.raises(ValueError, match=f"{bad} has shape"):
+        with pytest.raises(ValueError, match=f"{bad}: shape mismatch"):
             ddim_step(xt, rng.normal(size=eps_shape), 10, 9, 0.01, sched,
                       noise=rng.normal(size=noise_shape))
 
@@ -361,7 +368,8 @@ class TestStepMajorFusion:
         # the same values as one float64 draw cast to float32, and the
         # generator is left in the same state for the next field
         got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
-        got = np.stack(list(sampler_mod._normal_bands(got_rng, shape)))
+        got = np.zeros(shape, dtype=np.float32)
+        sampler_mod._add_noise(got_rng, shape, [got], [np.s_[:, :]], 1.0)
         want = want_rng.normal(size=shape).astype(np.float32)
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
         assert got_rng.normal() == want_rng.normal()
@@ -413,6 +421,23 @@ class TestStepMajorFusion:
         want = fuse_tile_major(params, cfg, sched, y, z, select_tau(40, 2), **kw)
         assert got.shape == (4, *size)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("tile,windows", [(None, 1), (8, 9)])
+    def test_condition_built_once_per_window_and_step(self, fusion_setup, monkeypatch, tile,
+                                                      windows, d):
+        # fusion builds its network input with training's assemble_condition
+        cfg, params, sched, y, z = fusion_setup
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return assemble_condition(*args, **kwargs)
+
+        monkeypatch.setattr(sampler_mod, "assemble_condition", counted)
+        fuse(params, cfg, sched, y, z, select_tau(40, d), sigma_mode="posterior",
+             tile=tile, tile_stride=4)
+        assert len(calls) == windows * d
 
     @pytest.mark.parametrize("tile", [None, 8])
     def test_float64_observations_fuse_as_their_float32_casts(self, fusion_setup, tile):

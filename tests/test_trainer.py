@@ -492,6 +492,27 @@ class TestTrainLoop:
             train(self._cfg(4), replace(tiny_model(), prediction="x0"), ds,
                   tmp_path / "x0", resume_from=path)
 
+    def test_resume_cuts_the_log_back_to_the_checkpoint(self, rng, tmp_path):
+        # the resumed steps 3 and 4 were appended after the first run's 3 and 4
+        ds = tiny_dataset(rng)
+        train(self._cfg(4), tiny_model(), ds, tmp_path / "run")
+        log = tmp_path / "run" / "loss_log.tsv"
+        first = log.read_text()
+        train(self._cfg(4), tiny_model(), ds, tmp_path / "run",
+              resume_from=tmp_path / "run" / "checkpoint_0000002.ckpt")
+        steps = [line.split("\t")[0] for line in log.read_text().splitlines()]
+        assert steps == ["1", "2", "3", "4"]
+        assert log.read_text() == first
+
+    @pytest.mark.parametrize("T,beta_end", [(80, 0.02), (80, 0.1), (50, 0.02)])
+    def test_resume_refuses_other_schedule(self, rng, tmp_path, T, beta_end):
+        ds = tiny_dataset(rng)
+        path = train(self._cfg(2, T=50), tiny_model(), ds, tmp_path / "a")
+        with pytest.raises(ValueError, match="schedule"):
+            train(self._cfg(4, T=T, beta_end=beta_end), tiny_model(), ds, tmp_path / "b",
+                  resume_from=path)
+        assert not (tmp_path / "b").exists()
+
     def test_loss_log_format(self, rng, tmp_path):
         ds = tiny_dataset(rng)
         train(self._cfg(3), tiny_model(), ds, tmp_path / "fmt")
@@ -508,6 +529,23 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="log_every"):
             train(self._cfg(2), tiny_model(), tiny_dataset(rng), tmp_path / "x",
                   log_every=log_every)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("bad,match", [
+        ("scale", "triple 1: z size"), ("bands", "triple 1: y has 3 bands"),
+        ("small_z", "triple 1: x0 has shape"), ("pair", "triple 1: not enough values"),
+    ])
+    def test_dataset_that_does_not_fit_refused_before_writing(self, rng, tmp_path, bad, match):
+        # a scale-2 pair under a scale-4 model trained to a checkpoint, and a z
+        # smaller than x0 failed mid-run with a message about x_t
+        model = replace(tiny_model(), scale=4)
+        ds = tiny_dataset(rng, scale=4)
+        x0, y, z = ds[0]
+        ds.insert(1, {"scale": tiny_dataset(rng, scale=2)[0],
+                      "bands": (x0, np.concatenate([y, y[:1]]), z),
+                      "small_z": (x0, y[:, :1, :1], z[:, :4, :4]), "pair": (y, z)}[bad])
+        with pytest.raises(ValueError, match=match):
+            train(self._cfg(2), model, ds, tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
     def test_patch_divisibility_validated(self, rng, tmp_path):
