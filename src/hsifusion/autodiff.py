@@ -15,10 +15,10 @@ float64 array keeps its width and anything else becomes float32. Training and
 inference run in float32; finite-difference gradient checks pass float64
 arrays, because central differences are unreliable in single precision.
 
-A scalar never sets the width: a scalar constant (``scale``, the scalar
-form of ``add`` and ``mul``) takes the dtype of the tensor it meets. A NumPy
-float64 scalar, such as ``1 / np.sqrt(c)``, would otherwise promote a float32
-tensor to float64 under NumPy 2's rules (NEP 50).
+A scalar never sets the width: the constant of ``scale`` takes the dtype of
+the tensor it meets. A NumPy float64 scalar, such as ``1 / np.sqrt(c)``,
+would otherwise promote a float32 tensor to float64 under NumPy 2's rules
+(NEP 50).
 """
 
 from __future__ import annotations
@@ -73,27 +73,6 @@ class Tensor:
             self.grad = np.broadcast_to(g, self.data.shape).astype(self.data.dtype)
         else:
             self.grad += g
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
-
-    # -- operator sugar (elementwise, same shape or scalar) -------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -185,13 +164,7 @@ def _check_same_shape(a, b, op: str) -> None:  # Tensors or arrays
 
 
 def add(a, b) -> Tensor:
-    a = as_tensor(a)
-    if np.isscalar(b):
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(g)
-        return from_op(a.data + a.data.dtype.type(b), (a,), bwd)
-    b = as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     _check_same_shape(a, b, "add")
 
     def bwd(g):
@@ -203,35 +176,6 @@ def add(a, b) -> Tensor:
     return from_op(a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_same_shape(a, b, "sub")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(-g)
-
-    return from_op(a.data - b.data, (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    a = as_tensor(a)
-    if np.isscalar(b):
-        return scale(a, b)
-    b = as_tensor(b)
-    _check_same_shape(a, b, "mul")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
-
-    return from_op(a.data * b.data, (a, b), bwd)
-
-
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = a.data.dtype.type(c)
@@ -241,41 +185,3 @@ def scale(a, c: float) -> Tensor:
             a.accumulate_grad(g * c)
 
     return from_op(a.data * c, (a,), bwd)
-
-
-def absolute(a) -> Tensor:
-    """Elementwise |x| with sign subgradient (0 at exactly 0)."""
-    a = as_tensor(a)
-    s = np.sign(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * s)
-
-    return from_op(np.abs(a.data), (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# Reductions
-# ---------------------------------------------------------------------------
-
-
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, g.reshape(())))
-
-    return from_op(np.asarray(a.data.sum(), dtype=a.dtype), (a,), bwd)
-
-
-def mean_all(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.size
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, g.reshape(()) / n))
-
-    return from_op(np.asarray(a.data.mean(), dtype=a.dtype), (a,), bwd)

@@ -56,9 +56,10 @@ class HsiCube:
                              f"got {self.value_range!r}")
         self.value_range = (float(vr[0]), float(vr[1]))
         if self.wavelengths_nm is not None:
+            if not all(map(_is_number, self.wavelengths_nm)):
+                raise ValueError(f"wavelengths_nm must be finite numbers, "
+                                 f"got {self.wavelengths_nm!r}")
             self.wavelengths_nm = [float(v) for v in self.wavelengths_nm]
-            if not all(map(math.isfinite, self.wavelengths_nm)):
-                raise ValueError(f"wavelengths must be finite, got {self.wavelengths_nm}")
             if len(self.wavelengths_nm) != self.bands:
                 raise ValueError(
                     f"{len(self.wavelengths_nm)} wavelengths for {self.bands} bands"

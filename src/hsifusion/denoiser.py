@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor
+from .autodiff import Tensor, add, as_tensor
 from .datacube import _config_from_dict, _int_at_least, _is_int
 from .ops import (
     add_channel_bias,
@@ -100,6 +100,12 @@ class DenoiserConfig:
     @property
     def levels(self) -> int:
         return len(self.channel_multipliers)
+
+    @property
+    def side_multiple(self) -> int:
+        """2^(levels-1): the network input's height and width must be
+        multiples of it to survive every stride-2 downsample."""
+        return 2 ** (self.levels - 1)
 
     @property
     def in_channels(self) -> int:
@@ -237,7 +243,7 @@ def init_params(cfg: DenoiserConfig, rng: np.random.Generator,
     initial prediction is exactly zero.
     """
     p = _ParamView({}, rng, dtype)
-    side = 2 ** (cfg.levels - 1)
+    side = cfg.side_multiple
     _forward(p, cfg, [Tensor(np.zeros((cfg.in_channels, side, side)), dtype=dtype)], 0)
     return p.params
 
@@ -281,7 +287,7 @@ def _res_block(p: _ParamView, name: str, x: Tensor, temb_act: Tensor, groups: in
     c_in = x.shape[0]
     if c_in != c_out:
         x = conv2d(x, p.take(name + ".skip.w", (c_out, c_in, 1, 1), fan_in=c_in))
-    return h + x
+    return add(h, x)
 
 
 def _attention(p: _ParamView, name: str, x: Tensor) -> Tensor:
@@ -342,7 +348,7 @@ def predict_noise(params: dict[str, Tensor], cfg: DenoiserConfig, x_in, t: int) 
         raise ValueError(
             f"input has {x_in.shape[0]} channels, config expects {cfg.in_channels}"
         )
-    down = 2 ** (cfg.levels - 1)
+    down = cfg.side_multiple
     if x_in.shape[1] % down or x_in.shape[2] % down:
         raise ValueError(
             f"spatial size {x_in.shape[1:]} not divisible by 2^(levels-1) = {down}"

@@ -2,7 +2,7 @@
 
 The array functions here are plain numpy (they move data, not gradients);
 ``simple_loss`` is the one graph-building piece, since its gradient drives
-training.
+training. It is a single tape primitive over its two inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, _check_same_shape, absolute, as_tensor, mean_all, mul, sub
+from .autodiff import Tensor, _check_same_shape, as_tensor, from_op
 from .schedule import NoiseSchedule, marginal_coeffs, posterior_coeffs
 
 
@@ -66,16 +66,31 @@ def simple_loss(eps_true, eps_pred, p: int = 2) -> Tensor:
     """Mean |eps_true - eps_pred|^p over all elements, p in {1, 2}.
 
     Mean rather than sum, so the magnitude does not scale with patch size.
+    One tape node whose parents are the two inputs; with d = eps_true -
+    eps_pred, the mean's adjoint is spread evenly and times sign(d) for
+    p = 1 or 2d for p = 2.
     """
     if p not in (1, 2):
         raise ValueError(f"loss exponent p must be 1 or 2, got {p}")
     eps_true = as_tensor(eps_true)
     eps_pred = as_tensor(eps_pred)
     _check_same_shape(eps_true, eps_pred, "simple_loss")
-    diff = sub(eps_true, eps_pred)
-    if p == 1:
-        return mean_all(absolute(diff))
-    return mean_all(mul(diff, diff))
+    d = eps_true.data - eps_pred.data
+
+    def bwd(g):
+        g = np.full_like(d, g.reshape(()) / d.size)
+        if p == 1:
+            g *= np.sign(d)
+        else:
+            g *= d
+            g += g
+        if eps_true.requires_grad:
+            eps_true.accumulate_grad(g)
+        if eps_pred.requires_grad:
+            eps_pred.accumulate_grad(-g)
+
+    value = (np.abs(d) if p == 1 else d * d).mean()
+    return from_op(np.asarray(value, dtype=d.dtype), (eps_true, eps_pred), bwd)
 
 
 def step_kl(

@@ -185,7 +185,7 @@ def fuse(
         raise ValueError(
             f"need 1 <= tile_stride <= tile, got tile={tile}, tile_stride={tile_stride}"
         )
-    if tile is not None and tile % 2 ** (cfg.levels - 1):
+    if tile is not None and tile % cfg.side_multiple:
         raise ValueError(f"tile {tile} not divisible by 2^(levels-1)")
     y_arr = as_cube_array(y)
     z_arr = as_cube_array(z)

@@ -197,15 +197,15 @@ def _stream_rng(seed: int, stream: int, step: int = 0) -> np.random.Generator:
 
 def _check_patch(patch: int, model_cfg: DenoiserConfig) -> None:
     # a patch must hold whole low-resolution pixels and survive every downsample
-    down = 2 ** (model_cfg.levels - 1)
+    down = model_cfg.side_multiple
     if patch % model_cfg.scale or patch % down:
         raise ValueError(f"patch {patch} not divisible by scale {model_cfg.scale} "
                          f"and by 2^(levels-1) = {down}")
 
 
-def _check_dataset(dataset, model_cfg: DenoiserConfig) -> None:
+def _check_dataset(dataset, model_cfg: DenoiserConfig, patch: int) -> None:
     # every (x0, y, z) triple must fit the model: y and z as fusion needs
-    # them, and x0 with the model's bands on z's grid
+    # them, and x0 with the model's bands on z's grid, at least a patch wide
     for i, triple in enumerate(dataset):
         try:
             x0, y, z = map(as_cube_array, triple)
@@ -213,6 +213,8 @@ def _check_dataset(dataset, model_cfg: DenoiserConfig) -> None:
             if x0.shape != (model_cfg.bands, *z.shape[1:]):
                 raise ValueError(f"x0 has shape {x0.shape}, the model and z need "
                                  f"{(model_cfg.bands, *z.shape[1:])}")
+            if min(x0.shape[1:]) < patch:
+                raise ValueError(f"image {x0.shape[1]}x{x0.shape[2]} smaller than patch {patch}")
         except ValueError as exc:
             raise ValueError(f"training triple {i}: {exc}") from None
 
@@ -240,7 +242,7 @@ def train(
     if not len(dataset):
         raise ValueError("training dataset is empty")
     _check_patch(train_cfg.patch, model_cfg)
-    _check_dataset(dataset, model_cfg)
+    _check_dataset(dataset, model_cfg, train_cfg.patch)
 
     sched = linear_schedule(train_cfg.T, train_cfg.beta_end)
     sched_info = {"T": train_cfg.T, "beta_end": train_cfg.beta_end}

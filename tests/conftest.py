@@ -14,10 +14,11 @@ def rng():
 @pytest.fixture
 def op_outputs(monkeypatch):
     """List that collects the output tensor of every primitive the test runs."""
+    import hsifusion.diffusion
     import hsifusion.ops
 
     outputs = []
-    for module in (ad, hsifusion.ops):
+    for module in (ad, hsifusion.ops, hsifusion.diffusion):
         def recording(data, parents, backward_fn, _from_op=module.from_op):
             out = _from_op(data, parents, backward_fn)
             outputs.append(out)

@@ -121,6 +121,20 @@ def gaussian_kl_equal_var(mu0: float, mu1: float, var: float) -> float:
     return (mu0 - mu1) ** 2 / (2.0 * var)
 
 
+def simple_loss_chain(target: np.ndarray, pred: np.ndarray, p: int, g_out: np.ndarray):
+    """Value and (target, pred) adjoints of the training loss as the chain
+    of tape nodes it once was: d = target - pred, then |d| (p = 1) or d * d
+    (p = 2), then the mean over all elements. Each node's numpy arithmetic
+    is written out; ``g_out`` is the 0-d adjoint arriving at the loss."""
+    d = target - pred
+    x = np.abs(d) if p == 1 else d * d
+    value = np.asarray(x.mean(), dtype=x.dtype)
+    g = np.full_like(x, g_out.reshape(()) / x.size)  # the mean's adjoint
+    # |d| passes g * sign(d); d * d passes g * d once through each factor
+    g = g * np.sign(d) if p == 1 else (g * d) + (g * d)
+    return value, g, -g
+
+
 def bayes_posterior_1d(beta1: float, beta2: float, x2: float, x0: float):
     """q(x1 | x2, x0) for a two-step scalar chain, by completing the square.
 

@@ -27,6 +27,12 @@ class TestHsiCube:
         with pytest.raises(ValueError, match="wavelengths"):
             HsiCube(rng.random((3, 2, 2)), wavelengths_nm=[400, 500])
 
+    @pytest.mark.parametrize("wavelengths", [[True, 500], ["400", 500]])
+    def test_wavelengths_must_be_numbers(self, rng, wavelengths):
+        # [True, "5"] became [1.0, 5.0]
+        with pytest.raises(ValueError, match="wavelengths_nm"):
+            HsiCube(rng.random((2, 1, 1)), wavelengths_nm=wavelengths)
+
     @pytest.mark.parametrize("kw", [dict(value_range=(0.0, np.inf)),
                                     dict(value_range=(np.nan, 1.0)),
                                     dict(wavelengths_nm=[400.0, np.nan])])

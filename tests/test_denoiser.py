@@ -262,6 +262,14 @@ class TestConfigAndParams:
         out = predict_noise(params, cfg, assemble_condition(xt, y, z), 2000)
         assert out.shape == (31, 64, 64)
 
+    def test_side_multiple(self, rng):
+        # one halving per level below the top; predict_noise names the rule
+        for mults, side in (((1,), 1), ((1, 2), 2), ((1, 2, 4), 4)):
+            assert tiny_config(channel_multipliers=mults, attention_levels=()).side_multiple == side
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match=r"not divisible by 2\^\(levels-1\) = 2"):
+            predict_noise(init_params(cfg, rng), cfg, rng.normal(size=(cfg.in_channels, 6, 5)), 1)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
             tiny_config(time_embed_dim=7)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsifusion.autodiff import Tensor, backward
+from hsifusion.autodiff import Tensor, backward, scale
 from hsifusion.diffusion import (
     eps_from_x0,
     posterior_mean,
@@ -16,6 +16,7 @@ from oracles import (
     assert_grads_match,
     bayes_posterior_1d,
     gaussian_kl_equal_var,
+    simple_loss_chain,
     stepwise_chain,
 )
 
@@ -140,6 +141,43 @@ class TestSimpleLoss:
         pred = Tensor(rng.normal(size=(2, 3, 3)) + 3.0, requires_grad=True)
         assert_grads_match(lambda: simple_loss(target, pred, 2), [pred])
         assert_grads_match(lambda: simple_loss(target, pred, 1), [pred])
+
+    def test_target_gradients(self, rng):
+        target = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+        pred = Tensor(rng.normal(size=(2, 3, 3)) + 3.0, requires_grad=True)
+        for p in (1, 2):
+            assert_grads_match(lambda: simple_loss(target, pred, p), [target, pred])
+
+    def test_one_node_over_both_inputs(self, op_outputs, rng):
+        target = Tensor(rng.normal(size=(2, 3, 3)))
+        pred = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+        for p in (1, 2):
+            op_outputs.clear()
+            loss = simple_loss(target, pred, p)
+            assert len(op_outputs) == 1 and op_outputs[0] is loss
+            assert loss._parents == (target, pred)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("target_grad", [False, True], ids=["target-const", "target-grad"])
+    def test_bitwise_equal_to_chain(self, rng, p, dtype, target_grad):
+        # the value and adjoints of the sub -> abs/mul -> mean chain, to the
+        # bit; the 1/3 weight scales the adjoint as train_step's 1/B does,
+        # and the equal band gives d = 0, where sign(d) is 0
+        target = Tensor(rng.normal(size=(3, 5, 7)).astype(dtype), requires_grad=target_grad)
+        pred = Tensor(rng.normal(size=(3, 5, 7)).astype(dtype), requires_grad=True)
+        pred.data[1] = target.data[1]
+        loss = simple_loss(target, pred, p)
+        backward(scale(loss, 1 / 3))
+        value, g_target, g_pred = simple_loss_chain(target.data, pred.data, p,
+                                                    np.asarray(dtype(1 / 3)))
+        assert loss.dtype == pred.grad.dtype == dtype
+        assert loss.data.tobytes() == value.tobytes()
+        assert pred.grad.tobytes() == g_pred.tobytes()
+        if target_grad:
+            assert target.grad.tobytes() == g_target.tobytes()
+        else:
+            assert target.grad is None
 
 
 class TestStepKl:

@@ -249,6 +249,11 @@ class TestFuse:
         assert np.all(np.isfinite(tiled))
         assert np.mean(np.abs(tiled - whole)) < 0.2
 
+    def test_tile_off_the_side_multiple_rejected(self, fusion_setup):
+        cfg, params, sched, y, z = fusion_setup
+        with pytest.raises(ValueError, match=r"tile 7 not divisible by 2\^\(levels-1\)"):
+            fuse(params, cfg, sched, y, z, select_tau(40, 1), tile=7, tile_stride=4)
+
     @pytest.mark.parametrize("tile,stride", [(8, 12), (8, 0), (-8, 4)])
     def test_bad_tile_stride_rejected(self, fusion_setup, tile, stride):
         # a stride beyond the tile would leave unvisited, all-zero stripes

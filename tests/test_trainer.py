@@ -548,6 +548,18 @@ class TestTrainLoop:
             train(self._cfg(2), model, ds, tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
+    def test_image_smaller_than_patch_refused_before_writing(self, rng, tmp_path):
+        # the 4x4 triple used to fail at the first step that drew it, after
+        # the log had been emptied
+        ds = tiny_dataset(rng)
+        train(self._cfg(1), tiny_model(), ds, tmp_path / "run")
+        log = tmp_path / "run" / "loss_log.tsv"
+        before = log.read_text()
+        ds.insert(1, tiny_dataset(rng, size=4)[0])
+        with pytest.raises(ValueError, match="triple 1: image 4x4 smaller than patch 8"):
+            train(self._cfg(1, patch=8), tiny_model(), ds, tmp_path / "run")
+        assert log.read_text() == before
+
     def test_patch_divisibility_validated(self, rng, tmp_path):
         with pytest.raises(ValueError, match="divisible"):
             train(self._cfg(1, patch=5), tiny_model(), tiny_dataset(rng), tmp_path / "x")
