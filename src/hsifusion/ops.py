@@ -160,9 +160,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, norm=None,
     taps = [(i, j, i % s, j % s, (i // s) * wq + j // s)
             for i in range(k) for j in range(k)]
 
-    # tap (0, 0) is phase (0, 0) at offset 0; the other products reuse tmp
+    # tap (0, 0) is phase (0, 0) at offset 0; the other products, which a
+    # 1x1 kernel has none of, reuse tmp
     out = kernel.data[:, :, 0, 0] @ phases[0, 0, :, :n]
-    tmp = np.empty_like(out)
+    tmp = np.empty_like(out) if k > 1 else None
     for i, j, a, b, off in taps[1:]:
         out += np.matmul(kernel.data[:, :, i, j], phases[a, b, :, off:off + n], out=tmp)
 

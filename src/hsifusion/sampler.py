@@ -5,20 +5,29 @@ resolution and is denoised over a sub-sequence of timesteps, conditioning on
 the two observed images at every step. With sigma = 0 the update is
 deterministic given the initial noise. Untiled fusion is one window that
 covers the whole scene, and it runs the same loop as tiled fusion. Fusion
-runs step-major: every window takes a step before any takes the next. Noise
-never exists as a whole-scene cube: the initial noise and each step's
-posterior noise are drawn one band at a time, each band's window crops
-added to the window states (which start at zero), and several windows are
-blended band by band. A window's network input is built when the window
-steps, without the rest of the scene. Memory therefore scales with the
-window states, one band and one window's input, not with the step count, a
-float64 scene or a scene-sized condition; the network's own memory does
-not, as ``fuse`` says.
+runs tile-row-major: a tile row, the windows that share a row start, takes
+all its steps before the next one starts, and then the pixel rows no later
+tile row covers are blended into the output and the states that reach no
+unfinished row are dropped. Noise never exists as a whole-scene cube: each
+field is drawn one band at a time, and each tile row adds only its own rows
+of it to its window states (which start at zero). A window's network input
+is built when the window steps, without the rest of the scene. Memory
+therefore scales with the output, the states of the tile rows that reach an
+unfinished pixel row, one band and one window's input, not with the scene's
+height, a float64 scene or a scene-sized condition; the network's own
+memory does not, as ``fuse`` says. The step count adds only the recorded
+generator states, about 0.5 KB per noise field, band and later tile row.
+With 64-pixel tiles at stride 48, a tiled fuse of the 31-band benchmark
+model peaks at 2.2 output cubes of tracemalloc at 256x256 and 1.5 at
+512x512 (2.7 and 3.0 when every window's state lived until one blend at the
+end). At 112x112, two tile rows, it peaks at 5.1 (4.0 before), because the
+output cube exists while the second tile row's network runs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,18 +166,28 @@ def fuse(
     the whole scene, and so is a tile at least the scene's size; a single
     window's state is the result, with no blend.
 
-    Fusion is step-major: each window keeps a state and all take DDIM step
-    i before step i+1. Noise fields cover the whole scene, so tiling does
-    not change the per-pixel noise. Each window takes the deterministic
-    part of the step; once all have, the step's field is drawn a band at a
-    time and sigma times each band's crop is added to the window states,
-    which is the same update as drawing the field first. A window's network
+    Fusion is tile-row-major. A tile row, the windows that share a row
+    start, takes all its DDIM steps before the next tile row starts. Then the
+    pixel rows that no later tile row covers are blended into the output one
+    float64 band at a time, each pixel adding its windows' terms in window
+    order, and the states that reach no unfinished row are dropped. The
+    noise fields cover the whole scene, so neither the tiling nor the order
+    changes the per-pixel noise. The draw order is fixed: the initial noise,
+    then one field per noisy step, each drawn a band at a time. The first
+    tile row draws every band in row chunks split at the later tile rows'
+    first pixel rows and records the generator's state at each split; each
+    later tile row restores its states and draws only its own rows. A single
+    window draws each band whole and records nothing. Sigma times a window's
+    crop of a step's field is added after the deterministic part of the
+    step, the same update as drawing the field first. A window's network
     input is built at each of its steps by ``assemble_condition`` over the
     window, bitwise the crop of the whole-scene input, and dropped once the
-    network's stem has read it. The draw order is fixed: the initial noise,
-    then one field per noisy step. A network that predicts x0
+    network's stem has read it. A network that predicts x0
     (``cfg.prediction == "x0"``) has its output turned into the implied
-    noise before each DDIM step. Output values are clamped to [0, 1].
+    noise before each DDIM step. Output values are clamped to [0, 1]. A
+    tiled fuse at tile 64, stride 48 peaks at about 2.2 output cubes at
+    256x256 and 1.5 at 512x512; two tile rows (112x112) peak higher, at 5.1,
+    because the output cube exists while the second tile row runs.
 
     The network runs on constant views of ``params``, so inference records
     no tape and the caller's tensors are left as they are. Non-finite values
@@ -198,78 +217,123 @@ def fuse(
     # zero-copy constants: no network evaluation below records a tape
     params = {n: Tensor(p.data, dtype=p.data.dtype.type) for n, p in params.items()}
     rng = np.random.default_rng(rng_seed)
-    shape = (cfg.bands, H, W)
-    # (rows, cols) windows inside the scene; a tile larger than the scene is cut
-    windows = [np.s_[:, :]] if tile is None else [
-        np.s_[r:min(r + tile, H), c:min(c + tile, W)] for r in _tile_starts(H, tile, tile_stride)
-        for c in _tile_starts(W, tile, tile_stride)]
-    # each state has its window's size and starts at zero, and the initial
-    # noise is the sigma = 1 case of adding a step's noise, so no whole-scene
-    # draw exists. No state stays bound to a loop variable: it would outlive
-    # the step that replaced it, so the step loop indexes the states
-    states = [np.zeros((cfg.bands, *z_arr[0][sl].shape), dtype=np.float32) for sl in windows]
-    _add_noise(rng, shape, states, windows, 1.0)
+    # windows are (rows, cols) pairs of slices, all h x w: a tile larger than
+    # the scene is cut to it, and untiled fusion is one window over the scene
+    size = max(H, W) if tile is None else tile
+    h, w = min(size, H), min(size, W)
+    row_starts = _tile_starts(H, size, tile_stride)
+    cols = [np.s_[c:c + w] for c in _tile_starts(W, size, tile_stride)]
+    # a single window's state is the result, with no blend
+    out = None if len(row_starts) * len(cols) == 1 else np.empty((cfg.bands, H, W), np.float32)
+    resume = {r: deque() for r in row_starts[1:]}
+    live = []  # (first row, window states) of the tile rows that reach an unfinished row
+    done = 0
     steps = tau.steps[::-1]
-    for t, t_prev in zip(steps, steps[1:] + (0,)):
-        sigma = ddim_sigma(sched, t, t_prev, sigma_mode)
-        for k, sl in enumerate(windows):
-            x = states[k]
-            # the input is passed unbound, so the network frees it once the
-            # stem conv has read it
-            eps_hat = predict_noise(params, cfg, assemble_condition(x, y_arr, z_arr, sl), t).data
-            if not np.isfinite(eps_hat).all():
-                raise ValueError(f"network output is non-finite at DDIM step t={t}")
-            if cfg.prediction == "x0":
-                eps_hat = eps_from_x0(x, eps_hat, t, sched)
-            states[k] = _ddim_mean(x, eps_hat, t, t_prev, sigma, sched)
-        del x, eps_hat
-        # the step's noise is the additive sigma * z of the update, added once
-        # every window has stepped; with tau strictly increasing, a posterior
-        # step's sigma is never 0
-        if sigma_mode != "zero" and t_prev > 0:
-            _add_noise(rng, shape, states, windows, sigma)
+    for j, r in enumerate(row_starts):
+        rows = np.s_[r:r + h]
+        # each state starts at zero, and the initial noise is the sigma = 1
+        # case of adding a step's noise. No state stays bound to a loop
+        # variable: it would outlive the step that replaced it, so the step
+        # loop indexes the states
+        xs = [np.zeros((cfg.bands, h, w), dtype=np.float32) for _ in cols]
+        _add_noise(rng, xs, (H, W), rows, cols, 1.0, resume)
+        for t, t_prev in zip(steps, steps[1:] + (0,)):
+            sigma = ddim_sigma(sched, t, t_prev, sigma_mode)
+            for k, c in enumerate(cols):
+                x = xs[k]
+                # the input is passed unbound, so the network frees it once
+                # the stem conv has read it
+                eps_hat = predict_noise(
+                    params, cfg, assemble_condition(x, y_arr, z_arr, (rows, c)), t).data
+                if not np.isfinite(eps_hat).all():
+                    raise ValueError(f"network output is non-finite at DDIM step t={t}")
+                if cfg.prediction == "x0":
+                    eps_hat = eps_from_x0(x, eps_hat, t, sched)
+                xs[k] = _ddim_mean(x, eps_hat, t, t_prev, sigma, sched)
+            del x, eps_hat
+            # the step's noise is the additive sigma * z of the update; with
+            # tau strictly increasing, a posterior step's sigma is never 0
+            if sigma_mode != "zero" and t_prev > 0:
+                _add_noise(rng, xs, (H, W), rows, cols, sigma, resume)
+        live.append((r, xs))
+        del xs
+        if out is not None:
+            # rows above the next tile row's first are finished
+            end = row_starts[j + 1] if j + 1 < len(row_starts) else H
+            _blend_rows(out, live, done, end, cols, tile, tile_stride)
+            live = [(r0, xs) for r0, xs in live if r0 + h > end]
+            done = end
 
-    fused = states.pop() if len(states) == 1 else _blend(states, windows, shape, tile, tile_stride)
+    fused = live.pop()[1][0] if out is None else out
     np.clip(fused, 0.0, 1.0, out=fused)
     name = y.name if isinstance(y, HsiCube) else None
     return HsiCube(fused, value_range=(0.0, 1.0), name=name)
 
 
-def _add_noise(rng: np.random.Generator, shape, states, windows, sigma: float) -> None:
-    """Add sigma times each window's crop of one whole-scene draw
-    ``rng.normal(size=shape).astype(np.float32)`` to the window states,
-    drawing the scene one (H, W) band at a time: the generator fills C order,
-    so the values and its final state are those of the whole draw."""
-    for b in range(shape[0]):
-        band = rng.normal(size=shape[1:]).astype(np.float32)
-        for state, sl in zip(states, windows):
-            state[b] += sigma * band[sl]
+def _add_noise(rng: np.random.Generator, states, plane, rows, cols, sigma: float,
+               resume) -> None:
+    """Add sigma times the window crops of the next whole-scene noise field
+    to one tile row's window states, one band of its ``rows`` at a time."""
+    for b in range(states[0].shape[0]):
+        band = _band_rows(rng, plane, rows, resume)
+        for state, c in zip(states, cols):
+            state[b] += sigma * band[:, c]
+
+
+def _band_rows(rng: np.random.Generator, plane, rows, resume) -> np.ndarray:
+    """Rows ``rows`` of the next ``plane``-shaped band of the noise stream:
+    those of ``rng.normal(size=plane).astype(np.float32)``, whose values the
+    generator fills in C order however the rows are split.
+
+    ``resume`` maps each later tile row's first pixel row, ascending, to a
+    queue of generator states. The tile row at row 0 draws the whole band in
+    row chunks split at those rows and queues the state at each split; a
+    later tile row restores the oldest state queued at its first row and
+    draws only its own rows. With no later tile row, this is the whole draw.
+    """
+    if rows.start:
+        rng.bit_generator.state = resume[rows.start].popleft()
+        return rng.normal(size=(rows.stop - rows.start, plane[1])).astype(np.float32)
+    bounds = [0, *resume, plane[0]]
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo:
+            resume[lo].append(rng.bit_generator.state)
+        chunk = rng.normal(size=(hi - lo, plane[1])).astype(np.float32)
+        if lo < rows.stop:
+            parts.append(chunk[:rows.stop - lo])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _tile_starts(extent: int, tile: int, stride: int) -> list[int]:
     return [*range(0, extent - tile, stride), max(extent - tile, 0)]
 
 
-def _blend(states, windows, shape, tile, stride) -> np.ndarray:
-    """Feathered mean of the tile states as a float32 scene; empties ``states``.
+def _blend_rows(out, live, a: int, b: int, cols, tile: int, stride: int) -> None:
+    """Write pixel rows [a, b) of ``out`` as the feathered mean of the live
+    tile rows' window states.
 
-    Bands are blended one at a time: each accumulates in float64 in tile
-    order and is divided by the float64 weight map, so the result is the
-    whole-scene float64 blend cast to float32, without a float64 scene.
+    Each band accumulates in float64, each pixel adding its windows' terms
+    in window order, and is divided by the float64 weight of the rows, so
+    the rows are those of the whole-scene float64 blend cast to float32.
     """
     i = np.arange(tile)  # weights ramp up and down over the tile - stride overlap
     win = np.minimum(1.0, np.minimum(i + 1, tile - i) / (tile - stride + 1.0))
-    w2d = np.outer(win[:states[0].shape[1]], win[:states[0].shape[2]])
-    weight = np.zeros(shape[1:], dtype=np.float64)
-    for sl in windows:
-        weight[sl] += w2d
+    _, h, w = live[0][1][0].shape
+    w2d = np.outer(win[:h], win[:w])
+    terms = []  # (rows of the block, rows of the window, columns, state)
+    for r, xs in live:
+        lo, hi = max(a, r), min(b, r + h)
+        if lo < hi:
+            terms += [(np.s_[lo - a:hi - a], np.s_[lo - r:hi - r], c, x)
+                      for c, x in zip(cols, xs)]
+    weight = np.zeros((b - a, out.shape[2]), dtype=np.float64)
+    for dst, src, c, _ in terms:
+        weight[dst, c] += w2d[src]
     np.maximum(weight, 1e-12, out=weight)
-    out = np.empty(shape, dtype=np.float32)
-    acc = np.empty(shape[1:], dtype=np.float64)
-    for b in range(shape[0]):
+    acc = np.empty_like(weight)
+    for band in range(out.shape[0]):
         acc.fill(0.0)
-        for st, sl in zip(states, windows):
-            acc[sl] += st[b] * w2d
-        np.divide(acc, weight, out=out[b])
-    states.clear()
-    return out
+        for dst, src, c, x in terms:
+            acc[dst, c] += x[band, src] * w2d[src]
+        np.divide(acc, weight, out=out[band, a:b])

@@ -98,6 +98,17 @@ class TestConv2d:
         assert_grads_match(lambda: _sq_loss(ops.conv2d(x, k, stride, padding, bias=b)),
                            [x, k, b])
 
+    def test_one_by_one_kernel_allocates_no_product_buffer(self, rng, peak_alloc):
+        # 2.17 outputs while a product buffer the size of the output was
+        # allocated for the taps after the first, which a 1x1 kernel has
+        # not; 1.17 without it
+        x = Tensor(rng.normal(size=(2, 32, 32)).astype(np.float32))
+        k = Tensor(rng.normal(size=(16, 2, 1, 1)).astype(np.float32))
+        with peak_alloc() as mem:
+            out = ops.conv2d(x, k)
+        cubes = mem.peak / out.data.nbytes
+        assert cubes <= 1.5, f"a 1x1 conv peaked at {cubes:.2f} outputs"
+
     def test_closure_keeps_only_parents(self, rng):
         x = Tensor(rng.normal(size=(3, 6, 7)), requires_grad=True)
         k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)

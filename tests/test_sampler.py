@@ -1,4 +1,5 @@
 import sys
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -174,15 +175,15 @@ def fusion_setup():
     return cfg, params, sched, y, z
 
 
-def _tiled_fuse_peak(rng, peak_alloc, d: int) -> float:
+def _tiled_fuse_peak(rng, peak_alloc, d: int, size: int = 256) -> float:
     """tracemalloc peak, in output cubes, of a tiled posterior fuse of a
-    31-band 256x256 scene in 64-pixel tiles."""
+    31-band ``size`` x ``size`` scene in 64-pixel tiles."""
     cfg = DenoiserConfig(bands=31, msi_bands=3, scale=8, base_channels=8,
                          channel_multipliers=(1, 2), attention_levels=(),
                          time_embed_dim=16, groups=4)
     params = init_params(cfg, rng)
-    y = rng.random((31, 32, 32)).astype(np.float32)
-    z = rng.random((3, 256, 256)).astype(np.float32)
+    y = rng.random((31, size // 8, size // 8)).astype(np.float32)
+    z = rng.random((3, size, size)).astype(np.float32)
     with peak_alloc() as mem:
         out = fuse(params, cfg, linear_schedule(20, 0.1), y, z, select_tau(20, d),
                    sigma_mode="posterior", rng_seed=1, tile=64, tile_stride=48)
@@ -352,9 +353,17 @@ class TestFuse:
         # 4.47 output cubes while each step drew a whole-scene noise field
         # and the blend accumulated a float64 scene; 3.47 band by band, with
         # a whole-scene upsampled condition; 2.71 since each window builds its
-        # condition from its own crop
+        # condition from its own crop; 2.32 since each tile row's finished
+        # rows are blended before the next tile row runs
         cubes = _tiled_fuse_peak(rng, peak_alloc, d)
         assert cubes <= 3.0, f"tiled fuse peaked at {cubes:.2f} output cubes at d={d}"
+
+    def test_tall_tiled_fusion_finishes_tile_rows_as_it_goes(self, rng, peak_alloc):
+        # 3.03 output cubes at 512x512 while every window's state lived until
+        # one blend at the end; 1.60 since each tile row's finished pixel rows
+        # are blended and its states dropped before the next tile row runs
+        cubes = _tiled_fuse_peak(rng, peak_alloc, d=2, size=512)
+        assert cubes <= 2.0, f"tiled 512x512 fuse peaked at {cubes:.2f} output cubes"
 
     def test_whole_posterior_fusion_draws_no_noise_cube(self, fusion_setup, peak_alloc):
         # the posterior noise is added a band at a time; a whole-scene field
@@ -368,16 +377,29 @@ class TestFuse:
 
 
 class TestStepMajorFusion:
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 7), (31, 16, 24)])
-    def test_band_wise_draw_matches_one_whole_draw(self, shape):
-        # the same values as one float64 draw cast to float32, and the
-        # generator is left in the same state for the next field
+    @pytest.mark.parametrize("shape,splits", [
+        ((1, 1, 1), ()), ((3, 5, 7), ()), ((31, 16, 24), ()),
+        ((3, 11, 7), (1, 2, 7)),  # uneven chunks of 1, 1, 5 and 4 rows
+    ], ids=["shape0", "shape1", "shape2", "uneven_rows"])
+    def test_band_wise_draw_matches_one_whole_draw(self, shape, splits):
+        # the first tile row draws each band in row chunks split at the later
+        # tile rows' first rows: the same values as one float64 draw cast to
+        # float32, and the generator is left in the same state for the next
+        # field. Each later tile row resumes at its first row from the state
+        # queued there and draws the same rows again
         got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
-        got = np.zeros(shape, dtype=np.float32)
-        sampler_mod._add_noise(got_rng, shape, [got], [np.s_[:, :]], 1.0)
+        resume = {r: deque() for r in splits}
+        got = np.stack([sampler_mod._band_rows(got_rng, shape[1:], np.s_[0:shape[1]], resume)
+                        for _ in range(shape[0])])
         want = want_rng.normal(size=shape).astype(np.float32)
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
         assert got_rng.normal() == want_rng.normal()
+        for r in splits:
+            rows = np.s_[r:min(r + 3, shape[1])]
+            again = [sampler_mod._band_rows(got_rng, shape[1:], rows, resume)
+                     for _ in range(shape[0])]
+            assert np.stack(again).tobytes() == want[:, rows].tobytes()
+            assert not resume[r]
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("prediction", ["eps", "x0"])
