@@ -3,8 +3,8 @@
 Uses an untrained (randomly headed) network; output quality is meaningless
 here, the point is the step-count / wall-time relationship, the determinism
 of the sigma = 0 sampler, and fuses whose memory grows with posterior noise
-not at all and with the step count only by the noise stream's recorded
-generator states.
+not at all and with the step count only by the generator states one tile
+row hands to the next.
 """
 
 import time
@@ -42,17 +42,19 @@ b = hf.fuse(params, cfg, sched, y, z, hf.select_tau(T, 2), rng_seed=9).data
 print(f"\nsame seed, same bytes: {np.array_equal(a, b)}")
 
 # fusion is tile-row-major: the tiles that share a row start take all their
-# steps, then the pixel rows no later tile row covers are blended and the
-# states no unfinished row needs are dropped. Each noise field is drawn one
-# band at a time; the first tile row records the generator's state where
-# each later tile row starts, and each later one redraws only its own rows.
+# steps, then the pixel rows above the next tile row are blended into the
+# output and the tile row's states are dropped. A tile row hands the next
+# one only the float64 blend sums and weights of the rows they share and,
+# for the noise, one generator state per field and band, taken at the next
+# tile row's first row. Each noise field is drawn one band at a time; each
+# tile row draws its own rows of it, the first one on to the band's end.
 # Posterior noise costs no more memory than sigma = 0, and no scene-sized
 # upsample of y is held, since each tile builds its condition from its own
-# crop. The step count adds only the recorded states, about 0.5 KB per field,
-# band and later tile row: at this small scene, 8 bands and two later tile
-# rows, the tiled peak grows by about 0.06 output cubes per step. With the
-# 31-band benchmark model, 64px tiles at stride 48 peak at 2.2 output cubes
-# at 256x256 and 1.5 at 512x512; two tile rows (112x112) peak at 5.1, since
+# crop. The step count adds only the handed-on states, one 128-bit integer
+# per field and band: at this small scene, 8 bands and three tile rows, the
+# tiled peak grows by about 0.15 output cubes from 1 step to 20. With the
+# 31-band benchmark model, 64px tiles at stride 48 peak at 1.9 output cubes
+# at 256x256 and 1.5 at 512x512; two tile rows (112x112) peak at 4.4, since
 # the output exists while the second tile row runs
 def peak_cubes(d, **kw):
     tracemalloc.start()

@@ -47,6 +47,13 @@ def load_run_config(path) -> RunConfig:
                         strings=("out_dir",))
     for section in ("model", "train", "data", "sampler"):
         _check_fields(raw[section], f"{where} '{section}'", ValueError)
+    # model and train name their unknown keys when they are built
+    for obj, what, known in ((raw, where, ("model", "train", "data", "out_dir", "sampler")),
+                             (raw["data"], f"{where} 'data'", ("train", "test")),
+                             (raw["sampler"], f"{where} 'sampler'", ("seed",))):
+        unknown = sorted(set(obj) - set(known))
+        if unknown:
+            raise ValueError(f"{what} has unknown keys: {', '.join(unknown)}")
     sampler = _check_fields({"seed": 0, **raw["sampler"]}, f"{where} 'sampler'", ValueError,
                             counts=("seed",))
     model = DenoiserConfig.from_dict(raw["model"])
@@ -189,6 +196,8 @@ def _cmd_ablate(args) -> int:
     if any(l not in ("l1", "l2") for l in losses):
         print(f"error: losses must be from l1,l2, got {losses}", file=sys.stderr)
         return 2
+    # every step count is checked before the first model trains
+    taus = {d: select_tau(cfg.train.T, d) for d in steps_list}
 
     sched = linear_schedule(cfg.train.T, cfg.train.beta_end)
     seed = cfg.sampler.get("seed", 0)
@@ -201,12 +210,11 @@ def _cmd_ablate(args) -> int:
         ckpt = load_checkpoint(ckpt_path)
         grid[loss_name] = {}
         for d in steps_list:
-            tau = select_tau(sched.T, d)
             psnrs = []
             elapsed = 0.0
             for ref, y, z in test:
                 t0 = time.perf_counter()
-                fused = fuse(ckpt.params, ckpt.config, sched, y, z, tau,
+                fused = fuse(ckpt.params, ckpt.config, sched, y, z, taus[d],
                              sigma_mode="zero", rng_seed=seed)
                 elapsed += time.perf_counter() - t0
                 rep = FusionReport(scale=cfg.model.scale)

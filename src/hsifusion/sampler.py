@@ -6,22 +6,24 @@ the two observed images at every step. With sigma = 0 the update is
 deterministic given the initial noise. Untiled fusion is one window that
 covers the whole scene, and it runs the same loop as tiled fusion. Fusion
 runs tile-row-major: a tile row, the windows that share a row start, takes
-all its steps before the next one starts, and then the pixel rows no later
-tile row covers are blended into the output and the states that reach no
-unfinished row are dropped. Noise never exists as a whole-scene cube: each
-field is drawn one band at a time, and each tile row adds only its own rows
-of it to its window states (which start at zero). A window's network input
-is built when the window steps, without the rest of the scene. Memory
-therefore scales with the output, the states of the tile rows that reach an
-unfinished pixel row, one band and one window's input, not with the scene's
-height, a float64 scene or a scene-sized condition; the network's own
-memory does not, as ``fuse`` says. The step count adds only the recorded
-generator states, about 0.5 KB per noise field, band and later tile row.
-With 64-pixel tiles at stride 48, a tiled fuse of the 31-band benchmark
-model peaks at 2.2 output cubes of tracemalloc at 256x256 and 1.5 at
-512x512 (2.7 and 3.0 when every window's state lived until one blend at the
-end). At 112x112, two tile rows, it peaks at 5.1 (4.0 before), because the
-output cube exists while the second tile row's network runs.
+all its steps before the next one starts, then writes the pixel rows above
+the next tile row's first row into the output, and its states are dropped.
+It hands the next tile row only two things, both taken at that row: the
+generator states there, one per noise field and band, and the float64
+blend sums and weights of the rows its windows share with the next tile
+row. Noise never exists as a whole-scene cube: each field is drawn one band
+at a time, and each tile row adds only its own rows of it to its window
+states (which start at zero). A window's network input is built when the
+window steps, without the rest of the scene. Memory therefore scales with
+the output, one tile row's states and carried rows, one band and one
+window's input, not with the scene's height, a float64 scene or a
+scene-sized condition; the network's own memory does not, as ``fuse``
+says. The step count adds only the handed-on generator states, one 128-bit
+integer per noise field and band. With 64-pixel tiles at stride 48, a tiled
+fuse of the 31-band benchmark model peaks at 1.9 output cubes of
+tracemalloc at 256x256 and 1.5 at 512x512; at 112x112, two tile rows, it
+peaks at 4.4, because the output cube exists while the second tile row's
+network runs.
 """
 
 from __future__ import annotations
@@ -167,27 +169,28 @@ def fuse(
     window's state is the result, with no blend.
 
     Fusion is tile-row-major. A tile row, the windows that share a row
-    start, takes all its DDIM steps before the next tile row starts. Then the
-    pixel rows that no later tile row covers are blended into the output one
-    float64 band at a time, each pixel adding its windows' terms in window
-    order, and the states that reach no unfinished row are dropped. The
-    noise fields cover the whole scene, so neither the tiling nor the order
-    changes the per-pixel noise. The draw order is fixed: the initial noise,
-    then one field per noisy step, each drawn a band at a time. The first
-    tile row draws every band in row chunks split at the later tile rows'
-    first pixel rows and records the generator's state at each split; each
-    later tile row restores its states and draws only its own rows. A single
-    window draws each band whole and records nothing. Sigma times a window's
-    crop of a step's field is added after the deterministic part of the
-    step, the same update as drawing the field first. A window's network
-    input is built at each of its steps by ``assemble_condition`` over the
-    window, bitwise the crop of the whole-scene input, and dropped once the
-    network's stem has read it. A network that predicts x0
-    (``cfg.prediction == "x0"``) has its output turned into the implied
-    noise before each DDIM step. Output values are clamped to [0, 1]. A
-    tiled fuse at tile 64, stride 48 peaks at about 2.2 output cubes at
-    256x256 and 1.5 at 512x512; two tile rows (112x112) peak higher, at 5.1,
-    because the output cube exists while the second tile row runs.
+    start, takes all its DDIM steps before the next tile row starts; then it
+    writes the pixel rows above the next tile row's first row into the
+    output, one float64 band at a time, and is dropped. It hands the next
+    tile row only the float64 blend sums and weights of the rows they share,
+    onto which each pixel adds its windows' terms in window order as a
+    whole-scene blend does, and one generator state per noise field and
+    band, taken at the next tile row's first row. The noise fields cover the
+    whole scene, so neither the tiling nor the order changes the per-pixel
+    noise. The draw order is fixed: the initial noise, then one field per
+    noisy step, each drawn a band at a time. The first tile row draws on to
+    each band's end; a single window draws each band whole and records
+    nothing. Sigma times a window's crop of a step's field is added after
+    the deterministic part of the step, the same update as drawing the
+    field first. A window's network input is built at each of its steps by
+    ``assemble_condition`` over the window, bitwise the crop of the
+    whole-scene input, and dropped once the network's stem has read it. A
+    network that predicts x0 (``cfg.prediction == "x0"``) has its output
+    turned into the implied noise before each DDIM step. Output values are
+    clamped to [0, 1]. A tiled fuse at tile 64, stride 48 peaks at about 1.9
+    output cubes at 256x256 and 1.5 at 512x512; two tile rows (112x112)
+    peak higher, at 4.4, because the output cube exists while the second
+    tile row runs.
 
     The network runs on constant views of ``params``, so inference records
     no tape and the caller's tensors are left as they are. Non-finite values
@@ -225,18 +228,19 @@ def fuse(
     cols = [np.s_[c:c + w] for c in _tile_starts(W, size, tile_stride)]
     # a single window's state is the result, with no blend
     out = None if len(row_starts) * len(cols) == 1 else np.empty((cfg.bands, H, W), np.float32)
-    resume = {r: deque() for r in row_starts[1:]}
-    live = []  # (first row, window states) of the tile rows that reach an unfinished row
-    done = 0
+    # all a tile row hands the next: the generator states at the next tile
+    # row's first row, and the blend sums and weights of the rows from there
+    marks = deque()
+    carry = np.zeros((cfg.bands, 0, W)), np.zeros((0, W))
     steps = tau.steps[::-1]
-    for j, r in enumerate(row_starts):
+    for r, end in zip(row_starts, row_starts[1:] + [H]):
         rows = np.s_[r:r + h]
         # each state starts at zero, and the initial noise is the sigma = 1
         # case of adding a step's noise. No state stays bound to a loop
         # variable: it would outlive the step that replaced it, so the step
         # loop indexes the states
         xs = [np.zeros((cfg.bands, h, w), dtype=np.float32) for _ in cols]
-        _add_noise(rng, xs, (H, W), rows, cols, 1.0, resume)
+        _add_noise(rng, xs, (H, W), rows, end, cols, 1.0, marks)
         for t, t_prev in zip(steps, steps[1:] + (0,)):
             sigma = ddim_sigma(sched, t, t_prev, sigma_mode)
             for k, c in enumerate(cols):
@@ -254,86 +258,89 @@ def fuse(
             # the step's noise is the additive sigma * z of the update; with
             # tau strictly increasing, a posterior step's sigma is never 0
             if sigma_mode != "zero" and t_prev > 0:
-                _add_noise(rng, xs, (H, W), rows, cols, sigma, resume)
-        live.append((r, xs))
+                _add_noise(rng, xs, (H, W), rows, end, cols, sigma, marks)
+        if out is None:
+            out = xs[0]
+        else:
+            carry = _blend_rows(out, xs, r, end, cols, carry, tile, tile_stride)
         del xs
-        if out is not None:
-            # rows above the next tile row's first are finished
-            end = row_starts[j + 1] if j + 1 < len(row_starts) else H
-            _blend_rows(out, live, done, end, cols, tile, tile_stride)
-            live = [(r0, xs) for r0, xs in live if r0 + h > end]
-            done = end
 
-    fused = live.pop()[1][0] if out is None else out
-    np.clip(fused, 0.0, 1.0, out=fused)
+    np.clip(out, 0.0, 1.0, out=out)
     name = y.name if isinstance(y, HsiCube) else None
-    return HsiCube(fused, value_range=(0.0, 1.0), name=name)
+    return HsiCube(out, value_range=(0.0, 1.0), name=name)
 
 
-def _add_noise(rng: np.random.Generator, states, plane, rows, cols, sigma: float,
-               resume) -> None:
+def _add_noise(rng: np.random.Generator, states, plane, rows, split: int, cols,
+               sigma: float, marks) -> None:
     """Add sigma times the window crops of the next whole-scene noise field
     to one tile row's window states, one band of its ``rows`` at a time."""
     for b in range(states[0].shape[0]):
-        band = _band_rows(rng, plane, rows, resume)
+        band = _band_rows(rng, plane, rows, split, marks)
         for state, c in zip(states, cols):
             state[b] += sigma * band[:, c]
 
 
-def _band_rows(rng: np.random.Generator, plane, rows, resume) -> np.ndarray:
+def _band_rows(rng: np.random.Generator, plane, rows, split: int, marks) -> np.ndarray:
     """Rows ``rows`` of the next ``plane``-shaped band of the noise stream:
     those of ``rng.normal(size=plane).astype(np.float32)``, whose values the
     generator fills in C order however the rows are split.
 
-    ``resume`` maps each later tile row's first pixel row, ascending, to a
-    queue of generator states. The tile row at row 0 draws the whole band in
-    row chunks split at those rows and queues the state at each split; a
-    later tile row restores the oldest state queued at its first row and
-    draws only its own rows. With no later tile row, this is the whole draw.
+    ``split`` is the next tile row's first pixel row, or the band's height.
+    A tile row below row 0 first restores the generator state at its first
+    row from the front of ``marks``. Each tile row draws its rows in at most
+    two chunks split at ``split`` and queues the state at the split; the
+    tile row at row 0 draws on to the band's end, so the next band starts
+    where one whole draw would. With ``split`` at the band's end (a single
+    window, or the last tile row) it draws one chunk and queues nothing.
     """
+    # fuse draws only normals, which never touch PCG64's increment or its
+    # buffered 32-bit draw (inc, has_uint32, uinteger), so the 128-bit state
+    # integer is all that moves
     if rows.start:
-        rng.bit_generator.state = resume[rows.start].popleft()
-        return rng.normal(size=(rows.stop - rows.start, plane[1])).astype(np.float32)
-    bounds = [0, *resume, plane[0]]
-    parts = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo:
-            resume[lo].append(rng.bit_generator.state)
-        chunk = rng.normal(size=(hi - lo, plane[1])).astype(np.float32)
-        if lo < rows.stop:
-            parts.append(chunk[:rows.stop - lo])
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        state = rng.bit_generator.state
+        state["state"]["state"] = marks.popleft()
+        rng.bit_generator.state = state
+    band = rng.normal(size=(split - rows.start, plane[1])).astype(np.float32)
+    if split == plane[0]:
+        return band
+    marks.append(rng.bit_generator.state["state"]["state"])
+    rest = rng.normal(size=((rows.stop if rows.start else plane[0]) - split, plane[1]))
+    return np.concatenate([band, rest[:rows.stop - split].astype(np.float32)])
 
 
 def _tile_starts(extent: int, tile: int, stride: int) -> list[int]:
     return [*range(0, extent - tile, stride), max(extent - tile, 0)]
 
 
-def _blend_rows(out, live, a: int, b: int, cols, tile: int, stride: int) -> None:
-    """Write pixel rows [a, b) of ``out`` as the feathered mean of the live
-    tile rows' window states.
+def _blend_rows(out, xs, r: int, end: int, cols, carry, tile: int, stride: int):
+    """Write pixel rows [r, end) of ``out`` as the feathered mean of the
+    window states that cover them; return the float64 sums and weights of
+    rows [end, r + h), which the next tile row's windows also cover.
 
-    Each band accumulates in float64, each pixel adding its windows' terms
-    in window order, and is divided by the float64 weight of the rows, so
-    the rows are those of the whole-scene float64 blend cast to float32.
+    ``carry`` holds those sums and weights from the earlier tile rows, for
+    rows from ``r`` on. The tile row's windows ``xs`` add their terms onto
+    them one band at a time, so each pixel adds its windows' terms in window
+    order in float64 and is divided by its float64 weight: the rows are
+    those of the whole-scene float64 blend cast to float32.
     """
     i = np.arange(tile)  # weights ramp up and down over the tile - stride overlap
     win = np.minimum(1.0, np.minimum(i + 1, tile - i) / (tile - stride + 1.0))
-    _, h, w = live[0][1][0].shape
+    _, h, w = xs[0].shape
     w2d = np.outer(win[:h], win[:w])
-    terms = []  # (rows of the block, rows of the window, columns, state)
-    for r, xs in live:
-        lo, hi = max(a, r), min(b, r + h)
-        if lo < hi:
-            terms += [(np.s_[lo - a:hi - a], np.s_[lo - r:hi - r], c, x)
-                      for c, x in zip(cols, xs)]
-    weight = np.zeros((b - a, out.shape[2]), dtype=np.float64)
-    for dst, src, c, _ in terms:
-        weight[dst, c] += w2d[src]
-    np.maximum(weight, 1e-12, out=weight)
+    sums, n = carry[0], len(carry[1])
+    weight = np.zeros((h, out.shape[2]))
+    weight[:n] = carry[1]
+    for c in cols:
+        weight[:, c] += w2d
+    cut = end - r
+    div = np.maximum(weight[:cut], 1e-12)
+    kept = np.empty((out.shape[0], h - cut, out.shape[2]))
     acc = np.empty_like(weight)
     for band in range(out.shape[0]):
-        acc.fill(0.0)
-        for dst, src, c, x in terms:
-            acc[dst, c] += x[band, src] * w2d[src]
-        np.divide(acc, weight, out=out[band, a:b])
+        acc[:n] = sums[band]
+        acc[n:] = 0.0
+        for c, x in zip(cols, xs):
+            acc[:, c] += x[band] * w2d
+        np.divide(acc[:cut], div, out=out[band, r:end])
+        kept[band] = acc[cut:]
+    return kept, weight[cut:]

@@ -360,12 +360,14 @@ class TestTrainCommand:
         with pytest.raises(ValueError, match="divisible"):
             load_run_config(cfg_path)
 
-    @pytest.mark.parametrize("section,key", [("model", "base_chanels"), ("train", "grad_clip")])
+    @pytest.mark.parametrize("section,key", [("model", "base_chanels"), ("train", "grad_clip"),
+                                             (None, "out_dri"), ("sampler", "sigma"),
+                                             ("data", "tests")])
     def test_unknown_config_key_named(self, dataset_on_disk, capsys, section, key):
         tmp, entries = dataset_on_disk
         cfg_path = write_run_config(tmp, entries[:1], [])
         doc = json.loads(cfg_path.read_text())
-        doc[section][key] = 1.0
+        (doc[section] if section else doc)[key] = 1.0
         cfg_path.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
@@ -481,6 +483,15 @@ class TestAblateCommand:
             assert len(line.split("\t")) == 4
         doc = json.loads((tmp / "grid.tsv.json").read_text())
         assert set(doc["psnr"]) == {"l1", "l2"}
+
+    def test_bad_step_count_rejected_before_training(self, dataset_on_disk, capsys):
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, entries[:2], entries[2:])
+        rc = main(["ablate", "--config", str(cfg_path), "--steps", "2,0", "--losses", "l1",
+                   "--report", str(tmp / "g.tsv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp / "run" / "ablate_l1").exists()
 
     def test_bad_loss_name_rejected(self, dataset_on_disk):
         tmp, entries = dataset_on_disk

@@ -13,6 +13,7 @@ from hsifusion.denoiser import DenoiserConfig, assemble_condition, init_params
 from hsifusion.diffusion import posterior_mean_from_eps, q_sample
 from hsifusion.sampler import TauSchedule, ddim_sigma, ddim_step, fuse, select_tau
 from hsifusion.schedule import linear_schedule, posterior_coeffs
+from hsifusion.synthetic import make_toy_cube
 from oracles import fuse_tile_major
 
 
@@ -348,6 +349,30 @@ class TestFuse:
         two, five = (_tiled_fuse_peak(rng, peak_alloc, d) for d in (2, 5))
         assert five - two <= 0.25, f"peak {two:.2f} cubes at d=2, {five:.2f} at d=5"
 
+    def test_tiled_fusion_memory_barely_grows_with_step_count(self, peak_alloc):
+        # demo 05's model, scene and tiling: 8 bands, 64x64, 32-pixel tiles
+        # at stride 24, so three tile rows. From 1 to 20 steps the peak grew
+        # by 1.26 output cubes while the first tile row queued a whole
+        # bit_generator.state dict per noise field, band and later tile row;
+        # 0.14 since each tile row queues only the 128-bit states the next
+        # one needs
+        rng = np.random.default_rng(0)
+        cfg = DenoiserConfig(bands=8, msi_bands=3, scale=8, base_channels=16,
+                             channel_multipliers=(1, 2), attention_levels=(),
+                             time_embed_dim=64, groups=8)
+        params = init_params(cfg, rng)
+        cube = make_toy_cube(np.random.default_rng(4), bands=8, size=64)
+        y, z = simulate_observations(cube, ObservationModel(block=8,
+                                                            srf=uniform_band_groups(8, 3)))
+        peaks = []
+        for d in (1, 20):
+            with peak_alloc() as mem:
+                out = fuse(params, cfg, linear_schedule(200, 0.05), y, z, select_tau(200, d),
+                           sigma_mode="posterior", rng_seed=9, tile=32, tile_stride=24)
+            peaks.append(mem.peak / out.data.nbytes)
+        assert peaks[1] - peaks[0] <= 0.3, (
+            f"peak {peaks[0]:.2f} output cubes at 1 step, {peaks[1]:.2f} at 20")
+
     @pytest.mark.parametrize("d", [2, 5])
     def test_tiled_fusion_holds_no_scene_sized_noise_or_blend(self, rng, peak_alloc, d):
         # 4.47 output cubes while each step drew a whole-scene noise field
@@ -377,29 +402,32 @@ class TestFuse:
 
 
 class TestStepMajorFusion:
-    @pytest.mark.parametrize("shape,splits", [
-        ((1, 1, 1), ()), ((3, 5, 7), ()), ((31, 16, 24), ()),
-        ((3, 11, 7), (1, 2, 7)),  # uneven chunks of 1, 1, 5 and 4 rows
-    ], ids=["shape0", "shape1", "shape2", "uneven_rows"])
-    def test_band_wise_draw_matches_one_whole_draw(self, shape, splits):
-        # the first tile row draws each band in row chunks split at the later
-        # tile rows' first rows: the same values as one float64 draw cast to
-        # float32, and the generator is left in the same state for the next
-        # field. Each later tile row resumes at its first row from the state
-        # queued there and draws the same rows again
+    @pytest.mark.parametrize("shape,starts,h", [
+        ((1, 1, 1), (0,), 1), ((3, 5, 7), (0,), 5), ((31, 16, 24), (0,), 16),
+        ((3, 11, 7), (0, 3, 6, 7), 4),  # 4-row tile rows at stride 3, the last 1 row on
+        ((3, 12, 7), (0, 4, 8), 4),  # stride == tile: each split at a tile row's end
+    ], ids=["shape0", "shape1", "shape2", "uneven_rows", "partition"])
+    def test_band_wise_draw_matches_one_whole_draw(self, shape, starts, h):
+        # each tile row draws each band's rows split at the next tile row's
+        # first row, and hands the generator state there on to it: the rows
+        # [start, split) of all tile rows make one float64 draw cast to
+        # float32, and each tile row's own rows are those of that draw. The
+        # tile row at row 0 draws on to the band's end, so the generator is
+        # left in the same state for the next field
         got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
-        resume = {r: deque() for r in splits}
-        got = np.stack([sampler_mod._band_rows(got_rng, shape[1:], np.s_[0:shape[1]], resume)
-                        for _ in range(shape[0])])
         want = want_rng.normal(size=shape).astype(np.float32)
-        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
-        assert got_rng.normal() == want_rng.normal()
-        for r in splits:
-            rows = np.s_[r:min(r + 3, shape[1])]
-            again = [sampler_mod._band_rows(got_rng, shape[1:], rows, resume)
-                     for _ in range(shape[0])]
-            assert np.stack(again).tobytes() == want[:, rows].tobytes()
-            assert not resume[r]
+        got = np.empty_like(want)
+        marks = deque()
+        for r, split in zip(starts, starts[1:] + (shape[1],)):
+            rows = np.s_[r:r + h]
+            own = np.stack([sampler_mod._band_rows(got_rng, shape[1:], rows, split, marks)
+                            for _ in range(shape[0])])
+            assert own.dtype == np.float32 and own.tobytes() == want[:, rows].tobytes()
+            got[:, r:split] = own[:, :split - r]
+            if not r:
+                assert got_rng.normal() == want_rng.normal()
+            assert len(marks) == (shape[0] if split < shape[1] else 0)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("prediction", ["eps", "x0"])
@@ -425,10 +453,18 @@ class TestStepMajorFusion:
                      **kw).data
         assert tiled.tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("tile,stride", [(16, 16), (32, 8), (8, 8), (8, 1)])
-    def test_tilings_match_tile_major_bitwise(self, fusion_setup, tile, stride):
-        # one tile the size of the scene, one larger, a partition, a dense overlap
+    @pytest.mark.parametrize("tile,stride,size", [
+        (16, 16, None), (32, 8, None), (8, 8, None), (8, 1, None), (8, 8, (32, 24)),
+    ], ids=["16-16", "32-8", "8-8", "8-1", "8-8-32x24"])
+    def test_tilings_match_tile_major_bitwise(self, fusion_setup, tile, stride, size):
+        # one tile the size of the scene, one larger, a partition, a dense
+        # overlap, and a partition into four tile rows, where each tile row
+        # hands the generator states at its last row's end on to the next
         cfg, params, sched, y, z = fusion_setup
+        if size:
+            cube = HsiCube(np.random.default_rng(12).random((4, *size)).astype(np.float32))
+            y, z = simulate_observations(cube, ObservationModel(block=4,
+                                                                srf=uniform_band_groups(4, 2)))
         kw = dict(sigma_mode="posterior", rng_seed=6, tile=tile, tile_stride=stride)
         got = fuse(params, cfg, sched, y, z, select_tau(40, 2), **kw).data
         want = fuse_tile_major(params, cfg, sched, y, z, select_tau(40, 2), **kw)
