@@ -8,10 +8,15 @@ next, so one item's graph is on the tape at a time.
 Every primitive here is exercised by a central finite-difference gradient
 check in the test suite, on float64 tensors.
 
-``conv2d`` builds no im2col matrix. It writes the padded input once into
-stride² phase images; each kernel tap then reads one contiguous flat slice of
-one phase image, so the forward pass and both adjoints are k² GEMMs against
-views of that single buffer.
+``conv2d`` writes the padded input once into stride² phase images; each
+kernel tap then reads one contiguous flat slice of one phase image, so the
+forward pass is k² GEMMs against views of that single buffer and builds no
+im2col matrix. The adjoint stacks the taps instead: the kernel gradient is
+one GEMM against an im2col buffer of the k² slices, and the input gradient
+one GEMM of the whole kernel against the output gradient, whose k² slices
+are scatter-added back in tap order. Each stacked buffer holds
+C_in * k² * h_out * wq values and is freed before the next is made;
+training's maps are small enough for that to cost less than k² small GEMMs.
 
 ``self_attention`` is one primitive, not a chain of tape ops. The forward pass
 keeps the token view, q, k, v, the softmax probabilities p and the attended
@@ -97,11 +102,16 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, norm=None,
     (i % s, j % s) as the flat slice of h_out * wq values starting at
     (i // s) * wq + j // s, so the output is the sum of k² GEMMs
     (C_out, C_in) @ (C_in, h_out * wq), cropped to w_out of every wq columns.
-    The kernel gradient multiplies the zero-widened output gradient by the
-    same slices, which the adjoint rebuilds from ``x`` rather than keeping,
-    normalizing or upsampling it again; the input gradient scatter-adds
-    K_ijᵀ @ g into them, interleaves the phases back and runs the SiLU and
-    norm, or the upsample, adjoint on the crop.
+    The adjoint zero-widens the output gradient g to the same h_out * wq
+    columns. The kernel gradient is one GEMM, g @ colsᵀ, where cols stacks
+    the k² slices channel first and then tap, (C_in * k², h_out * wq), so
+    the product already has the kernel's layout; the slices come from phase
+    images the adjoint rebuilds from ``x`` rather than keeping, normalizing
+    or upsampling it again. The input gradient is one GEMM too,
+    Kᵀ @ g with K the kernel as (C_out, C_in * k²); tap (i, j)'s rows of
+    the product are scatter-added into its slice in tap order, the phases
+    are interleaved back, and the SiLU and norm, or the upsample, adjoint
+    runs on the crop.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     _require_chw(x, "conv2d")
@@ -178,19 +188,23 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, norm=None,
             y = np.empty_like(x.data)  # rebuilt with the forward's arithmetic
             _normalize_into(y, x.data, groups, gamma.data, beta.data, mu, inv_std)
             write = functools.partial(np.multiply, y, sig)
-        phases = _phase_images(write, (c_in, h, w), x.dtype, s, padding, hq, wq)
         if kernel.requires_grad:
-            gk = np.empty_like(kernel.data)
-            for i, j, a, b, off in taps:
-                gk[:, :, i, j] = gf @ phases[a, b, :, off:off + n].T
-            kernel.accumulate_grad(gk)
+            # im2col, rows ordered (channel, tap): one GEMM gives the kernel layout
+            phases = _phase_images(write, (c_in, h, w), x.dtype, s, padding, hq, wq)
+            cols = np.empty((c_in, k * k, n), dtype=x.dtype)
+            for t, (_, _, a, b, off) in enumerate(taps):
+                cols[:, t] = phases[a, b, :, off:off + n]
+            del phases
+            kernel.accumulate_grad((gf @ cols.reshape(c_in * k * k, n).T).reshape(kernel.shape))
+            del cols
         if not any(t.requires_grad for t in upstream):
             return
-        del phases
+        # one GEMM for every tap's K_ijᵀ @ g, scatter-added in tap order
+        gcols = (kernel.data.reshape(c_out, c_in * k * k).T @ gf).reshape(c_in, k * k, n)
         gph = np.zeros((s, s, c_in, hq * wq), dtype=x.dtype)
-        tmp = np.empty((c_in, n), dtype=x.dtype)
-        for i, j, a, b, off in taps:
-            gph[a, b, :, off:off + n] += np.matmul(kernel.data[:, :, i, j].T, gf, out=tmp)
+        for t, (_, _, a, b, off) in enumerate(taps):
+            gph[a, b, :, off:off + n] += gcols[:, t]
+        del gcols
         gxp = gph.reshape(s, s, c_in, hq, wq).transpose(2, 3, 0, 4, 1)
         gxp = gxp.reshape(c_in, hq * s, wq * s)
         gu = gxp[:, padding:padding + h, padding:padding + w]  # of the conv's input

@@ -1,4 +1,9 @@
-"""Reverse-process inference: ancestral sampling and skip-step DDIM fusion.
+"""Reverse-process inference: skip-step DDIM fusion.
+
+There is no separate ancestral sampler: DDIM with ``sigma_mode="posterior"``
+over consecutive timesteps is the ancestral DDPM update, the posterior mean
+plus sqrt(beta~_t) noise (``test_matches_ancestral_update_with_shared_noise``
+checks this with shared noise).
 
 A fused image starts as pure Gaussian noise at the few-band image's
 resolution and is denoised over a sub-sequence of timesteps, conditioning on

@@ -158,9 +158,10 @@ def train_step(
     Adam runs once, after the last item. Items take the parameters' width, and
     the returned loss is their losses' sum in batch order, scaled by 1/B.
 
-    A non-finite loss raises ``TrainingError`` before the update. Whatever
-    ends the step, no parameter keeps a gradient, and on an error the
-    parameters and the optimizer state are left as they were.
+    A non-finite loss, or a finite loss whose gradients have a non-finite
+    global norm, raises ``TrainingError`` before the update. Whatever ends
+    the step, no parameter keeps a gradient, and on an error the parameters
+    and the optimizer state are left as they were.
     """
     # from the set of widths: NumPy 1.x's result_type may refuse over 32 arguments
     dtype = np.result_type(*{p.dtype for p in params.values()})
@@ -184,6 +185,11 @@ def train_step(
                     f"non-finite loss {total.item()} at optimizer step {opt.step + 1}"
                 )
             backward(t_scale(item_loss, weight))
+        # the global gradient norm: a NaN or inf in any gradient makes it non-finite
+        norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in params.values()
+                             if p.grad is not None))
+        if not math.isfinite(norm):
+            raise TrainingError(f"non-finite gradient norm {norm} at optimizer step {opt.step + 1}")
         adam_step(params, opt, lr)
     finally:
         for p in params.values():

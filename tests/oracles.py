@@ -7,13 +7,15 @@ the network, the DDIM update and the optimizer, and are independent only in
 their loop order, noise draws, blend and graph lifetime. So are
 ``conv_bias_unfused``, ``norm_conv_unfused`` and ``upsample_conv_unfused``:
 each is the chain of primitives that one fused ``conv2d`` replaces.
+``conv2d_per_tap`` keeps the per-tap adjoint ``conv2d`` ran before its taps
+were stacked into one GEMM each way.
 """
 
 import math
 
 import numpy as np
 
-from hsifusion.autodiff import Tensor, add, as_tensor, backward, scale
+from hsifusion.autodiff import Tensor, add, as_tensor, backward, from_op, scale
 from hsifusion.datacube import as_cube_array
 from hsifusion.denoiser import assemble_condition, predict_noise
 from hsifusion.diffusion import eps_from_x0, q_sample, simple_loss
@@ -78,6 +80,47 @@ def conv2d_loops(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -
                 window = xp[:, r * stride:r * stride + k, c * stride:c * stride + k]
                 out[o, r, c] = float(np.sum(kernel[o] * window))
     return out
+
+
+def conv2d_per_tap(x, kernel, stride: int, padding: int) -> Tensor:
+    """Cross-correlation as one tape node whose adjoint runs one GEMM per
+    kernel tap, the adjoint ``conv2d`` had before it stacked the taps: the
+    kernel gradient's tap (i, j) is g @ W_ijᵀ, where W_ij is the (C_in,
+    h_out * w_out) matrix of padded-input values tap (i, j) reads, and the
+    input gradient adds K_ijᵀ @ g into each tap's strided window of the
+    padded input, in tap order, then crops the padding."""
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    c_in, h, w = x.shape
+    c_out, _, k, _ = kernel.shape
+    s, p = stride, padding
+    h_out, w_out = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    xp = np.zeros((c_in, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[:, p:p + h, p:p + w] = x.data
+    taps = [(i, j) for i in range(k) for j in range(k)]
+
+    def window(i, j):
+        return (slice(None), slice(i, i + s * (h_out - 1) + 1, s),
+                slice(j, j + s * (w_out - 1) + 1, s))
+
+    def reads(i, j):
+        return xp[window(i, j)].reshape(c_in, -1)
+
+    out = sum(kernel.data[:, :, i, j] @ reads(i, j) for i, j in taps)
+
+    def bwd(g):
+        g = g.reshape(c_out, -1)
+        if kernel.requires_grad:
+            gk = np.empty_like(kernel.data)
+            for i, j in taps:
+                gk[:, :, i, j] = g @ reads(i, j).T
+            kernel.accumulate_grad(gk)
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for i, j in taps:
+                gxp[window(i, j)] += (kernel.data[:, :, i, j].T @ g).reshape(c_in, h_out, w_out)
+            x.accumulate_grad(gxp[:, p:p + h, p:p + w])
+
+    return from_op(out.reshape(c_out, h_out, w_out), (x, kernel), bwd)
 
 
 def conv_bias_unfused(x, kernel, bias, stride: int, padding: int) -> Tensor:

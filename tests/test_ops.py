@@ -15,6 +15,7 @@ from oracles import (
     attention_loops,
     bicubic_weight_loops,
     conv2d_loops,
+    conv2d_per_tap,
     conv_bias_unfused,
     norm_conv_unfused,
     upsample_conv_unfused,
@@ -123,6 +124,73 @@ def _held_arrays(out):
     return [c.cell_contents for c in out._backward_fn.__closure__
             if isinstance(c.cell_contents, np.ndarray)
             and not any(np.shares_memory(c.cell_contents, d) for d in parents)]
+
+
+class TestConv2dAdjoint:
+    """The stacked-tap adjoint (one im2col GEMM for the kernel gradient, one
+    for the input gradient) against the per-tap adjoint of
+    ``oracles.conv2d_per_tap``, chained with the layers a fused conv takes."""
+
+    @staticmethod
+    def _grads(layer, fused, arrays, stride, padding):
+        x, k, b, gamma, beta = tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        if fused:
+            kw = {"plain": {}, "bias": {"bias": b}, "norm": {"bias": b, "norm": (2, gamma, beta)},
+                  "upsample": {"upsample": 2}}[layer]
+            out = ops.conv2d(x, k, stride, padding, **kw)
+        else:
+            if layer == "norm":
+                x = ops.silu(ops.group_norm(x, 2, gamma, beta))
+            elif layer == "upsample":
+                x = ops.upsample_nearest(x, 2)
+            out = conv2d_per_tap(x, k, stride, padding)
+            if layer in ("bias", "norm"):
+                out = ops.add_channel_bias(out, b)
+        # the loss sum(out * probe) hands both sides the same output adjoint
+        probe = np.random.default_rng(3).normal(size=out.shape).astype(out.dtype)
+        backward(ad.from_op(np.asarray((out.data * probe).sum(), dtype=out.dtype), (out,),
+                            lambda g: out.accumulate_grad(g * probe)))
+        return [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layer", ["plain", "bias", "norm", "upsample"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("side", [1, 3])
+    def test_matches_per_tap_adjoint(self, rng, dtype, layer, stride, padding, side):
+        size = (4, 5) if layer == "upsample" else (7, 6)
+        arrays = [a.astype(dtype) for a in (
+            rng.normal(size=(4, *size)), rng.normal(size=(3, 4, side, side)),
+            rng.normal(size=(3,)), rng.normal(size=(4,)), rng.normal(size=(4,)))]
+        got = self._grads(layer, True, arrays, stride, padding)
+        want = self._grads(layer, False, arrays, stride, padding)
+        for name, g, w in zip(("x", "kernel", "bias", "gamma", "beta"), got, want):
+            assert (g is None) == (w is None), name
+            if g is None:
+                continue
+            assert g.dtype == dtype, name
+            if dtype == np.float64:
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max(),
+                                           err_msg=name)
+            else:  # a few ulps of the gradient's largest value
+                ulps = np.abs(g - w).max() / np.spacing(np.abs(w).max())
+                assert ulps <= 4, f"{name} gradient off by {ulps:.1f} ulps"
+
+    def test_adjoint_holds_one_stacked_buffer(self, rng, peak_alloc):
+        # the stacked buffer is C_in * k² * h_out * wq values: the im2col
+        # columns of the kernel gradient, then the K^T @ g columns of the
+        # input gradient, never both. 1.34 stacked buffers here (0.51 for
+        # the per-tap loops); 2.34 would mean both were alive at once
+        x = Tensor(rng.normal(size=(32, 32, 32)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(32, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        out = ops.conv2d(x, k, 1, 1)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        stacked = 32 * 9 * 32 * 34 * 4  # wq = 32 + 2 * padding
+        with peak_alloc() as mem:
+            out._backward_fn(g)
+        assert x.grad is not None and k.grad is not None
+        assert mem.peak <= 1.6 * stacked, (
+            f"the adjoint peaked at {mem.peak / stacked:.2f} stacked buffers")
 
 
 class TestBicubicUpsample:

@@ -323,6 +323,48 @@ class TestTrainStep:
             np.testing.assert_array_equal(opt.m[name], ref_opt.m[name])
             np.testing.assert_array_equal(opt.v[name], ref_opt.v[name])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gradient_stops_before_the_update(self, rng, tmp_path, monkeypatch,
+                                                         value):
+        # the loss stays finite while one value of one parameter's gradient
+        # is not: Adam would write it into the moments and the weights, and
+        # a checkpoint due at that step would save them
+        cfg, ds, run = tiny_model(), tiny_dataset(rng), tmp_path / "run"
+        train_cfg = TrainConfig(iterations=2, batch_size=2, patch=4, lr_max=1e-3, cycle=100,
+                                loss_p=2, T=20, beta_end=0.1, seed=3, checkpoint_every=1)
+        train(train_cfg, cfg, ds, run)
+        files = {p.name: p.read_bytes() for p in run.iterdir()}
+        accumulate, poisoned = Tensor.accumulate_grad, []
+
+        def poison_one_leaf(tensor, g):
+            if tensor._backward_fn is None and not poisoned:  # a parameter
+                g = np.array(g)
+                g.flat[g.size // 2] = value
+                poisoned.append(tensor)
+            accumulate(tensor, g)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", poison_one_leaf)
+        ckpt = load_checkpoint(run / "checkpoint_final.ckpt")
+        params, opt = ckpt.params, AdamState.from_dict(ckpt.opt_state)
+        before = copy.deepcopy((params, opt))
+        batch = [sample_patch(ds, 4, 2, rng) for _ in range(2)]
+        with pytest.raises(TrainingError, match="non-finite gradient norm .* step 3"):
+            train_step(params, opt, batch, linear_schedule(20, 0.1), 2, 1e-3, rng, cfg)
+        assert len(poisoned) == 1
+        ref_params, ref_opt = before
+        assert opt.step == ref_opt.step == 2
+        for name, p in params.items():
+            assert p.grad is None
+            np.testing.assert_array_equal(p.data, ref_params[name].data)
+            np.testing.assert_array_equal(opt.m[name], ref_opt.m[name])
+            np.testing.assert_array_equal(opt.v[name], ref_opt.v[name])
+
+        poisoned.clear()
+        with pytest.raises(TrainingError, match="step 3"):
+            train(replace(train_cfg, iterations=4), cfg, ds, run,
+                  resume_from=run / "checkpoint_final.ckpt")
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == files
+
     def test_single_sample_memorization(self, rng):
         # a sufficient-capacity network must fit one fixed (x0, y, z, t, eps)
         cfg = tiny_model()
