@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datacube import HsiCube, as_cube_array
+from .datacube import HsiCube, _is_int, as_cube_array
 
 
 class SrfFormatError(ValueError):
@@ -26,6 +26,8 @@ class ObservationModel:
     noise_std_z: float = 0.0
 
     def __post_init__(self):
+        if not _is_int(self.block):
+            raise ValueError(f"block size must be an integer, got {self.block!r}")
         if self.block < 1:
             raise ValueError(f"block size must be >= 1, got {self.block}")
         srf = np.asarray(self.srf, dtype=np.float64)

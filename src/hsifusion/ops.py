@@ -273,12 +273,17 @@ def bicubic_upsample(x, scale: int, window=(slice(None), slice(None))) -> Tensor
 
     ``window``, a (rows, cols) pair of slices, asks for only that window of
     the output, ``out[:, rows, cols]``: the product runs on the window's rows
-    of the two interpolation matrices, in the contraction order of the whole
-    upsample, and nothing outside the window is built. The result is the
-    crop to the bit while BLAS multiplies the smaller operands with the
-    kernels it uses for the whole ones, as it does for the 8- to 64-pixel
-    fusion windows the tests cover; a window a few pixels across may differ
-    in the last bits.
+    of the two interpolation matrices, and nothing outside the window is
+    built.
+
+    The two orders of the separable product round differently, so the order
+    is fixed by the input alone, never by the window: the longer input side
+    is contracted first, and the h side on a tie. That is the order einsum's
+    own search picks for the whole upsample, forward and adjoint, so a
+    window runs the whole upsample's order. The result is the crop to the
+    bit while BLAS multiplies the smaller operands with the kernels it uses
+    for the whole ones, as it does for the 8- to 64-pixel fusion windows the
+    tests cover; a window a few pixels across may differ in the last bits.
     """
     x = as_tensor(x)
     _require_chw(x, "bicubic_upsample")
@@ -292,26 +297,15 @@ def bicubic_upsample(x, scale: int, window=(slice(None), slice(None))) -> Tensor
     _, h, w = x.shape
     mh = bicubic_weight_matrix(h, scale, x.dtype, rows=window[0])
     mw = bicubic_weight_matrix(w, scale, x.dtype, rows=window[1])
-    out = np.einsum("oh,chw,pw->cop", mh, x.data, mw,
-                    optimize=_upsample_path(x.shape, scale, x.dtype))
+    # operands (mh, image, mw): the image meets mw first when w is longer
+    path = ["einsum_path", (1, 2) if w > h else (0, 1), (0, 1)]
+    out = np.einsum("oh,chw,pw->cop", mh, x.data, mw, optimize=path)
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate_grad(np.einsum("oh,cop,pw->chw", mh, g, mw, optimize=True))
+            x.accumulate_grad(np.einsum("oh,cop,pw->chw", mh, g, mw, optimize=path))
 
     return from_op(np.ascontiguousarray(out), (x,), bwd)
-
-
-@functools.lru_cache(maxsize=64)
-def _upsample_path(shape: tuple, scale: int, dtype) -> tuple:
-    # the order einsum picks depends on the operand sizes, and a window may
-    # tip it; the two orders round differently, so every window takes the
-    # whole upsample's, searched once per shape on one-value stand-ins
-    # broadcast to the whole operands' shapes
-    c, h, w = shape
-    one = np.zeros((), dtype)
-    whole = [np.broadcast_to(one, dims) for dims in ((h * scale, h), (c, h, w), (w * scale, w))]
-    return tuple(np.einsum_path("oh,chw,pw->cop", *whole, optimize=True)[0])
 
 
 def upsample_nearest(x, scale: int = 2) -> Tensor:

@@ -9,26 +9,30 @@ A fused image starts as pure Gaussian noise at the few-band image's
 resolution and is denoised over a sub-sequence of timesteps, conditioning on
 the two observed images at every step. With sigma = 0 the update is
 deterministic given the initial noise. Untiled fusion is one window that
-covers the whole scene, and it runs the same loop as tiled fusion. Fusion
-runs tile-row-major: a tile row, the windows that share a row start, takes
-all its steps before the next one starts, then writes the pixel rows above
-the next tile row's first row into the output, and its states are dropped.
-It hands the next tile row only two things, both taken at that row: the
-generator states there, one per noise field and band, and the float64
-blend sums and weights of the rows its windows share with the next tile
-row. Noise never exists as a whole-scene cube: each field is drawn one band
-at a time, and each tile row adds only its own rows of it to its window
-states (which start at zero). A window's network input is built when the
-window steps, without the rest of the scene. Memory therefore scales with
-the output, one tile row's states and carried rows, one band and one
-window's input, not with the scene's height, a float64 scene or a
-scene-sized condition; the network's own memory does not, as ``fuse``
-says. The step count adds only the handed-on generator states, one 128-bit
-integer per noise field and band. With 64-pixel tiles at stride 48, a tiled
-fuse of the 31-band benchmark model peaks at 1.9 output cubes of
-tracemalloc at 256x256 and 1.5 at 512x512; at 112x112, two tile rows, it
-peaks at 4.4, because the output cube exists while the second tile row's
-network runs.
+covers the whole scene, and it runs the same loop as tiled fusion.
+
+Fusion runs tile-row-major: a tile row, the windows that share a row start,
+takes all its steps before the next one starts, then writes the pixel rows
+above the next tile row's first row into the output, one float64 band at a
+time, and its states are dropped. It hands the next tile row only two
+things, both taken at that row: the generator states there, one per noise
+field and band, and the float64 blend sums and weights of the rows its
+windows share with the next tile row, onto which each pixel adds its
+windows' terms in window order as a whole-scene blend does. Noise never
+exists as a whole-scene cube: each field is drawn one band at a time, the
+first tile row drawing on to each band's end, and each tile row adds sigma
+times its own rows of it to its window states (which start at zero) after
+the deterministic part of the step. A window's network input is built when
+the window steps, without the rest of the scene, and dropped once the
+network's stem has read it. Memory therefore scales with the output, one
+tile row's states and carried rows, one band and one window's input, not
+with the scene's height, a float64 scene or a scene-sized condition; the
+network's own memory does not, as ``fuse`` says. The step count adds only
+the handed-on generator states, one 128-bit integer per noise field and
+band. With 64-pixel tiles at stride 48, a tiled fuse of the 31-band
+benchmark model peaks at 1.9 output cubes of tracemalloc at 256x256 and 1.5
+at 512x512; at 112x112, two tile rows, it peaks at 4.4, because the output
+cube exists while the second tile row's network runs.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .autodiff import Tensor, _check_same_shape
 from .datacube import HsiCube, _is_int, as_cube_array
 from .denoiser import DenoiserConfig, _check_pair, assemble_condition, predict_noise
 from .diffusion import eps_from_x0
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, marginal_coeffs
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,8 @@ class TauSchedule:
 
 def select_tau(T: int, d: int) -> TauSchedule:
     """Evenly spaced sub-sequence tau_i = round(i*T/d), ending exactly at T."""
+    if not (_is_int(T) and _is_int(d)):
+        raise ValueError(f"select_tau: T and d must be integers, got T={T!r}, d={d!r}")
     if not 1 <= d <= T:
         raise ValueError(f"need 1 <= d <= T, got d={d}, T={T}")
     steps = sorted({max(1, round(i * T / d)) for i in range(1, d + 1)} | {T})
@@ -83,18 +89,27 @@ def ddim_sigma(sched: NoiseSchedule, t: int, t_prev: int, mode: str) -> float:
     'zero' is the deterministic sampler. 'posterior' matches the training-time
     reverse variance: for consecutive steps it equals sqrt(beta~_t) and
     generalizes to skipped transitions as
-    sigma^2 = (1 - ab_prev) / (1 - ab_t) * (1 - ab_t / ab_prev).
+    sigma^2 = (1 - ab_prev) / (1 - ab_t) * (1 - ab_t / ab_prev). Each
+    1 - ab is the schedule's ``one_minus_alpha_bars``, and ab_prev - ab_t is
+    their difference, which does not cancel at small t.
     """
+    _check_transition(sched, t, t_prev)
     if mode == "zero":
         return 0.0
     if mode == "posterior":
         if t_prev == 0:
             return 0.0
-        ab_t = sched.alpha_bars[t]
-        ab_prev = sched.alpha_bars[t_prev]
-        var = (1.0 - ab_prev) / (1.0 - ab_t) * (1.0 - ab_t / ab_prev)
+        om_prev, om_t = sched.one_minus_alpha_bars[[t_prev, t]]
+        var = om_prev / om_t * ((om_t - om_prev) / sched.alpha_bars[t_prev])
         return float(np.sqrt(max(var, 0.0)))
     raise ValueError(f"unknown sigma mode '{mode}' (use 'zero' or 'posterior')")
+
+
+def _check_transition(sched: NoiseSchedule, t, t_prev) -> None:
+    if not (_is_int(t) and _is_int(t_prev)):
+        raise ValueError(f"timesteps must be integers, got t={t!r}, t_prev={t_prev!r}")
+    if not 0 <= t_prev < t <= sched.T:
+        raise ValueError(f"need 0 <= t_prev < t <= T, got t={t}, t_prev={t_prev}")
 
 
 def ddim_step(
@@ -130,22 +145,21 @@ def _ddim_mean(xt, eps_hat, t: int, t_prev: int, sigma: float,
     The noise enters the update only as that last addition, so a caller may
     add it later, a band at a time.
     """
-    if not 0 <= t_prev < t <= sched.T:
-        raise ValueError(f"need 0 <= t_prev < t <= T, got t={t}, t_prev={t_prev}")
-    # Python floats and math.sqrt, so the arithmetic stays in the arrays' dtype
-    ab_t = sched.alpha_bar(t)
-    ab_prev = sched.alpha_bar(t_prev)
-    if sigma < 0 or sigma**2 > 1.0 - ab_prev + 1e-12:
+    _check_transition(sched, t, t_prev)
+    # Python floats, so the arithmetic stays in the arrays' dtype
+    om_prev = float(sched.one_minus_alpha_bars[t_prev])
+    if sigma < 0 or sigma**2 > om_prev + 1e-12:
         raise ValueError(
-            f"sigma^2 = {sigma**2:g} exceeds 1 - alpha_bar_prev = {1 - ab_prev:g}"
+            f"sigma^2 = {sigma**2:g} exceeds 1 - alpha_bar_prev = {om_prev:g}"
         )
 
     xt = np.asarray(xt)
     eps_hat = np.asarray(eps_hat)
     _check_same_shape(eps_hat, xt, "ddim_step eps_hat")
-    x0_hat = (xt - math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(ab_t)
-    out = math.sqrt(ab_prev) * x0_hat
-    direction = math.sqrt(max(1.0 - ab_prev - sigma**2, 0.0))
+    c_sig, c_noise = marginal_coeffs(sched, t)
+    x0_hat = (xt - c_noise * eps_hat) / c_sig
+    out = math.sqrt(sched.alpha_bar(t_prev)) * x0_hat
+    direction = math.sqrt(max(om_prev - sigma**2, 0.0))
     if direction > 0:
         out = out + direction * eps_hat
     return out.astype(xt.dtype, copy=False)
@@ -173,29 +187,14 @@ def fuse(
     the whole scene, and so is a tile at least the scene's size; a single
     window's state is the result, with no blend.
 
-    Fusion is tile-row-major. A tile row, the windows that share a row
-    start, takes all its DDIM steps before the next tile row starts; then it
-    writes the pixel rows above the next tile row's first row into the
-    output, one float64 band at a time, and is dropped. It hands the next
-    tile row only the float64 blend sums and weights of the rows they share,
-    onto which each pixel adds its windows' terms in window order as a
-    whole-scene blend does, and one generator state per noise field and
-    band, taken at the next tile row's first row. The noise fields cover the
-    whole scene, so neither the tiling nor the order changes the per-pixel
-    noise. The draw order is fixed: the initial noise, then one field per
-    noisy step, each drawn a band at a time. The first tile row draws on to
-    each band's end; a single window draws each band whole and records
-    nothing. Sigma times a window's crop of a step's field is added after
-    the deterministic part of the step, the same update as drawing the
-    field first. A window's network input is built at each of its steps by
-    ``assemble_condition`` over the window, bitwise the crop of the
-    whole-scene input, and dropped once the network's stem has read it. A
-    network that predicts x0 (``cfg.prediction == "x0"``) has its output
-    turned into the implied noise before each DDIM step. Output values are
-    clamped to [0, 1]. A tiled fuse at tile 64, stride 48 peaks at about 1.9
-    output cubes at 256x256 and 1.5 at 512x512; two tile rows (112x112)
-    peak higher, at 4.4, because the output cube exists while the second
-    tile row runs.
+    The noise fields cover the whole scene, so neither the tiling nor the
+    tile order changes the per-pixel noise, and each window's network input
+    is bitwise the crop of the whole-scene input. The draw order is fixed:
+    the initial noise, then one field per noisy step, each drawn a band at a
+    time. A network that predicts x0 (``cfg.prediction == "x0"``) has its
+    output turned into the implied noise before each DDIM step. Output
+    values are clamped to [0, 1]. The module docstring gives the loop's
+    order and memory.
 
     The network runs on constant views of ``params``, so inference records
     no tape and the caller's tensors are left as they are. Non-finite values

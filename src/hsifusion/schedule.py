@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datacube import _is_int, _is_number
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -65,10 +67,12 @@ def linear_schedule(T: int, beta_end: float) -> NoiseSchedule:
     a zero-variance first step would be a no-op with an ill-defined reverse
     kernel.
     """
+    if not _is_int(T):
+        raise ValueError(f"T must be an integer, got {T!r}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if not 0.0 < beta_end < 1.0:
-        raise ValueError(f"beta_end must lie in (0, 1), got {beta_end}")
+    if not (_is_number(beta_end) and 0.0 < beta_end < 1.0):
+        raise ValueError(f"beta_end must lie in (0, 1), got {beta_end!r}")
     t = np.arange(1, T + 1, dtype=np.float64)
     return NoiseSchedule(T=T, betas=beta_end * t / T)
 

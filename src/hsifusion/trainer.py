@@ -239,7 +239,9 @@ def train(
     final ``checkpoint_final.ckpt``, and a ``loss_log.tsv`` with
     step<TAB>loss<TAB>lr lines, one every ``log_every`` steps and one at
     the last step. A resumed run continues the log of the run it resumes:
-    the lines after the checkpoint's step are cut before new ones are added.
+    the lines after the checkpoint's step, and a last line a crash left
+    without its newline, are cut before new ones are added. Each line up to
+    a checkpoint's step reaches the file before that checkpoint is written.
     A dataset triple that does not fit ``model_cfg``, or a checkpoint whose
     model or noise schedule differs from the requested one, is refused
     before anything is written.
@@ -278,7 +280,9 @@ def train(
     kept = []  # the log's lines up to the step this run starts from
     if os.path.exists(log_path):
         with open(log_path, encoding="utf-8") as log:
-            kept = [line for line in log if int(line.split("\t", 1)[0]) <= start_step]
+            # a line without its newline was torn by a crash mid-write
+            kept = [line for line in log
+                    if line.endswith("\n") and int(line.split("\t", 1)[0]) <= start_step]
     _atomic_write_text(log_path, "".join(kept))
 
     with open(log_path, "a", encoding="utf-8") as log:
@@ -294,6 +298,8 @@ def train(
             if done % log_every == 0 or done == train_cfg.iterations:
                 log.write(f"{done}\t{loss:.6g}\t{lr:.6g}\n")
             if train_cfg.checkpoint_every and done % train_cfg.checkpoint_every == 0:
+                # a run resumed from this checkpoint finds every line up to it
+                log.flush()
                 save_checkpoint(
                     os.path.join(out_dir, f"checkpoint_{done:07d}.ckpt"),
                     model_cfg, params, opt.to_dict(), done, schedule=sched_info,

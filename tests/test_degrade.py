@@ -85,6 +85,12 @@ class TestObservationModel:
         with pytest.raises(ValueError, match="positive"):
             ObservationModel(block=2, srf=np.array([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("block", [2.5, True, "2", None])
+    def test_non_integer_block_named(self, block):
+        # 2.5 and True were accepted; "2" and None raised a bare TypeError
+        with pytest.raises(ValueError, match=f"block size must be an integer, got {block!r}"):
+            ObservationModel(block=block, srf=uniform_band_groups(2, 1))
+
     def test_simulate_observations_pair(self, rng):
         cube = HsiCube(rng.random((4, 8, 8)).astype(np.float32), value_range=(0, 1))
         y, z = simulate_observations(cube, ObservationModel(block=4, srf=uniform_band_groups(4, 2)))

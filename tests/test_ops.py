@@ -237,25 +237,47 @@ class TestBicubicUpsample:
 
     def test_windows_of_a_tiling_are_crops_bitwise(self, rng):
         # the benchmark's tiled condition: 31 x 32^2 up 8x to 256^2, tile 64
-        # at stride 48, the last window pulled back to the scene edge
-        x = Tensor(rng.random((31, 32, 32)).astype(np.float32))
-        whole = ops.bicubic_upsample(x, 8).data
-        starts = [*range(0, 256 - 64, 48), 192]
-        for r in starts:
-            for c in starts:
-                window = (slice(r, r + 64), slice(c, c + 64))
-                got = ops.bicubic_upsample(x, 8, window).data
-                assert got.flags.c_contiguous
-                assert got.tobytes() == whole[(slice(None), *window)].tobytes(), window
+        # at stride 48, the last window pulled back to the scene edge; the
+        # wide and the tall scene take the two contraction orders
+        for shape in ((31, 32, 32), (31, 24, 40), (31, 40, 24)):
+            x = Tensor(rng.random(shape).astype(np.float32))
+            whole = ops.bicubic_upsample(x, 8).data
+            rows, cols = ([*range(0, n - 64, 48), n - 64] for n in whole.shape[1:])
+            for r in rows:
+                for c in cols:
+                    window = (slice(r, r + 64), slice(c, c + 64))
+                    got = ops.bicubic_upsample(x, 8, window).data
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == whole[(slice(None), *window)].tobytes(), (shape, window)
 
-    @pytest.mark.parametrize("window", [
-        (slice(0, 24), slice(0, 4)), (slice(0, 4), slice(0, 24)), (slice(200, 300), slice(None)),
-        (slice(None), slice(250, 256)),
+    @pytest.mark.parametrize("shape", [(31, 24, 40), (31, 40, 24), (31, 32, 32)])
+    def test_order_is_einsums_own_for_the_whole_upsample(self, rng, shape):
+        # the fixed order rule picks what einsum's search picks, forward and
+        # adjoint, so fused cubes keep their bits
+        x = Tensor(rng.random(shape).astype(np.float32), requires_grad=True)
+        mh, mw = (ops.bicubic_weight_matrix(n, 8, np.float32) for n in shape[1:])
+        out = ops.bicubic_upsample(x, 8)
+        want = np.einsum("oh,chw,pw->cop", mh, x.data, mw, optimize=True)
+        assert out.data.tobytes() == np.ascontiguousarray(want).tobytes()
+        g = rng.random(out.shape).astype(np.float32)
+        out._backward_fn(g)
+        want = np.einsum("oh,cop,pw->chw", mh, g, mw, optimize=True)
+        assert x.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("shape,window", [
+        pytest.param((31, 32, 32), window, id=f"window{i}") for i, window in enumerate([
+            (slice(0, 24), slice(0, 4)), (slice(0, 4), slice(0, 24)),
+            (slice(200, 300), slice(None)), (slice(None), slice(250, 256))])
+    ] + [
+        pytest.param(shape, window, id=f"{shape[1]}x{shape[2]}-window{i}")
+        for shape in ((31, 24, 40), (31, 40, 24)) for i, window in enumerate([
+            (slice(0, 24), slice(0, 4)), (slice(0, 4), slice(0, 24)),
+            (slice(150, 400), slice(None)), (slice(None), slice(180, 192))])
     ])
-    def test_window_cut_by_the_edge_or_lopsided_is_a_crop_bitwise(self, rng, window):
+    def test_window_cut_by_the_edge_or_lopsided_is_a_crop_bitwise(self, rng, shape, window):
         # a lopsided window makes einsum prefer the other contraction order
         # for its own operand sizes; the whole upsample's order is kept
-        x = Tensor(rng.random((31, 32, 32)).astype(np.float32))
+        x = Tensor(rng.random(shape).astype(np.float32))
         whole = ops.bicubic_upsample(x, 8).data
         got = ops.bicubic_upsample(x, 8, window).data
         assert got.tobytes() == whole[(slice(None), *window)].tobytes()

@@ -49,6 +49,12 @@ class TestSelectTau:
         with pytest.raises(ValueError, match="tau schedule steps must be integers"):
             TauSchedule(steps)
 
+    @pytest.mark.parametrize("T,d", [(1000, 2.5), (1000, True), (10.0, 2), ("10", 2), (1000, None)])
+    def test_non_integer_arguments_named(self, T, d):
+        # d = 2.5 raised a bare TypeError and d = True gave (1000,)
+        with pytest.raises(ValueError, match="select_tau: T and d must be integers"):
+            select_tau(T, d)
+
     def test_tau_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             TauSchedule((5, 5, 10))
@@ -75,6 +81,21 @@ class TestDdimSigma:
     def test_unknown_mode(self, sched):
         with pytest.raises(ValueError, match="sigma mode"):
             ddim_sigma(sched, 5, 4, "half")
+
+    @pytest.mark.parametrize("mode", ["zero", "posterior"])
+    @pytest.mark.parametrize("t,t_prev,match", [
+        (10, -1, "t=10, t_prev=-1"), (10, 20, "t=10, t_prev=20"), (10, 10, "t=10, t_prev=10"),
+        (-5, 3, "t=-5, t_prev=3"), (5000, 10, "t=5000, t_prev=10"),
+        (2.5, 1, "integers, got t=2.5"), (10, True, "integers, got t=10, t_prev=True"),
+    ])
+    def test_bad_transition_named(self, sched, mode, t, t_prev, match):
+        # (10, -1) and (10, 20) gave 0.0, (-5, 3) read a wrapped index and
+        # (5000, 10) raised a bare IndexError; ddim_step takes the same rule
+        with pytest.raises(ValueError, match=match):
+            ddim_sigma(sched, t, t_prev, mode)
+        x = np.zeros((1, 2, 2))
+        with pytest.raises(ValueError, match=match):
+            ddim_step(x, x, t, t_prev, 0.0, sched)
 
 
 class TestDdimStep:

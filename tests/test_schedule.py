@@ -36,6 +36,17 @@ class TestLinearSchedule:
         with pytest.raises(ValueError):
             linear_schedule(10, 0.0)
 
+    @pytest.mark.parametrize("T,beta_end,match", [
+        (True, 0.1, "T must be an integer, got True"), (10.0, 0.1, "T must be an integer"),
+        ("10", 0.1, "T must be an integer"), (10, "0.1", "beta_end must lie in"),
+        (10, None, "beta_end must lie in"),
+    ])
+    def test_non_numbers_named(self, T, beta_end, match):
+        # True built a one-step schedule with T=True; the strings and None
+        # raised a bare TypeError
+        with pytest.raises(ValueError, match=match):
+            linear_schedule(T, beta_end)
+
     def test_custom_betas_validated(self):
         with pytest.raises(ValueError):
             NoiseSchedule(T=3, betas=np.array([0.1, 0.2]))

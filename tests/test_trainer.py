@@ -1,4 +1,7 @@
 import copy
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -545,6 +548,45 @@ class TestTrainLoop:
         steps = [line.split("\t")[0] for line in log.read_text().splitlines()]
         assert steps == ["1", "2", "3", "4"]
         assert log.read_text() == first
+
+    def test_resume_drops_a_torn_last_line(self, rng, tmp_path):
+        # a torn "1" was read as step 1 and kept, and step 3 was logged as "13"
+        ds = tiny_dataset(rng)
+        train(self._cfg(4), tiny_model(), ds, tmp_path / "run")
+        log = tmp_path / "run" / "loss_log.tsv"
+        first = log.read_text()
+        log.write_text("".join(first.splitlines(keepends=True)[:2]) + "1")
+        train(self._cfg(4), tiny_model(), ds, tmp_path / "run",
+              resume_from=tmp_path / "run" / "checkpoint_0000002.ckpt")
+        assert log.read_text() == first
+
+    def test_log_holds_every_line_up_to_a_checkpoint_after_a_kill(self, tmp_path):
+        # the log was still buffered: a process killed after checkpoints 2
+        # and 4 left an empty loss_log.tsv beside them
+        train(self._cfg(4), tiny_model(), tiny_dataset(np.random.default_rng(7)), tmp_path / "full")
+        script = f"""if True:
+            import os
+            import numpy as np
+            import hsifusion.trainer as trainer
+            from test_trainer import TestTrainLoop, tiny_dataset, tiny_model
+
+            save = trainer.save_checkpoint
+            def save_then_die(path, *args, **kw):
+                save(path, *args, **kw)
+                if path.endswith("checkpoint_0000004.ckpt"):
+                    os._exit(3)
+            trainer.save_checkpoint = save_then_die
+            trainer.train(TestTrainLoop()._cfg(8), tiny_model(),
+                          tiny_dataset(np.random.default_rng(7)), {str(tmp_path / "run")!r})
+        """
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hsifusion.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, here])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120)
+        assert done.returncode == 3
+        assert (tmp_path / "run" / "checkpoint_0000004.ckpt").exists()
+        assert ((tmp_path / "run" / "loss_log.tsv").read_text()
+                == (tmp_path / "full" / "loss_log.tsv").read_text())
 
     @pytest.mark.parametrize("T,beta_end", [(80, 0.02), (80, 0.1), (50, 0.02)])
     def test_resume_refuses_other_schedule(self, rng, tmp_path, T, beta_end):
