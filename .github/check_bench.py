@@ -6,12 +6,13 @@ job-summary table.
     python3 .github/check_bench.py traced.log --per-layer    # a --trace 1 run
 
 run.py exits 0 even when a probe or reference check fails, so this reads the
-last JSON line of every workload instead. It exits 1 unless there are three
-results, each ``correct`` with ``failed`` 0, and with ``--per-layer`` unless
-each holds every per-layer metric BENCHMARK.json names. The table, of the
-end-to-end metrics or with ``--per-layer`` of the backward, conv and tape
-figures, is for reading only; it is appended to $GITHUB_STEP_SUMMARY when
-that is set.
+last JSON line of every workload instead. It exits 1 unless there is exactly
+one result for each workload BENCHMARK.json names, as the ``workload <name>``
+line before it says, each ``correct`` with ``failed`` 0, and with
+``--per-layer`` unless each holds every per-layer metric BENCHMARK.json
+names. The table, of the end-to-end metrics or with ``--per-layer`` of the
+backward, conv and tape figures, is for reading only; it is appended to
+$GITHUB_STEP_SUMMARY when that is set.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ def table(rows, metrics, label: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def problems(rows, required) -> list[str]:
-    results = [result for _, result in rows]
+def problems(rows, workloads, required) -> list[str]:
+    names, results = [name for name, _ in rows], [result for _, result in rows]
     found = []
-    if len(results) != 3:
-        found.append(f"{len(results)} results, expected 3")
+    if sorted(map(str, names)) != sorted(workloads):
+        found.append(f"results for {names}, expected one each for {list(workloads)}")
     bad = [r for r in results if not r.get("correct") or r.get("failed") != 0]
     if bad:
         found.append(f"failed checks in {bad}")
@@ -80,7 +81,7 @@ def main(argv=None) -> int:
     rows = read_results(args.log)
     with open(os.environ.get("GITHUB_STEP_SUMMARY", os.devnull), "a", encoding="utf-8") as fh:
         fh.write(table(rows, shown, label))
-    found = problems(rows, required)
+    found = problems(rows, [w["name"] for w in bench["workloads"]], required)
     if found:
         print(f"{what} failed: " + "; ".join(found), file=sys.stderr)
         return 1

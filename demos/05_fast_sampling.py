@@ -41,21 +41,8 @@ a = hf.fuse(params, cfg, sched, y, z, hf.select_tau(T, 2), rng_seed=9).data
 b = hf.fuse(params, cfg, sched, y, z, hf.select_tau(T, 2), rng_seed=9).data
 print(f"\nsame seed, same bytes: {np.array_equal(a, b)}")
 
-# fusion is tile-row-major: the tiles that share a row start take all their
-# steps, then the pixel rows above the next tile row are blended into the
-# output and the tile row's states are dropped. A tile row hands the next
-# one only the float64 blend sums and weights of the rows they share and,
-# for the noise, one generator state per field and band, taken at the next
-# tile row's first row. Each noise field is drawn one band at a time; each
-# tile row draws its own rows of it, the first one on to the band's end.
-# Posterior noise costs no more memory than sigma = 0, and no scene-sized
-# upsample of y is held, since each tile builds its condition from its own
-# crop. The step count adds only the handed-on states, one 128-bit integer
-# per field and band: at this small scene, 8 bands and three tile rows, the
-# tiled peak grows by about 0.15 output cubes from 1 step to 20. With the
-# 31-band benchmark model, 64px tiles at stride 48 peak at 1.9 output cubes
-# at 256x256 and 1.5 at 512x512; two tile rows (112x112) peak at 4.4, since
-# the output exists while the second tile row runs
+# why posterior noise and the step count barely add memory, with the
+# benchmark model's figures: see the hsifusion.sampler module docstring
 def peak_cubes(d, **kw):
     tracemalloc.start()
     out = hf.fuse(params, cfg, sched, y, z, hf.select_tau(T, d), rng_seed=9, **kw)

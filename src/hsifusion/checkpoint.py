@@ -113,9 +113,11 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointFormatError(f"{path}: file ends inside the {head_len}-byte header")
         header = _read_header(fh.read(head_len), path, CheckpointFormatError,
                               ("config", "tensors", "optimizer"), counts=("step",))
-        config = DenoiserConfig.from_dict(
-            _check_fields(header["config"], f"{path}: header 'config'", CheckpointFormatError)
-        )
+        _check_fields(header["config"], f"{path}: header 'config'", CheckpointFormatError)
+        try:
+            config = DenoiserConfig.from_dict(header["config"])
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{path}: header 'config': {exc}") from None
         schedule = header.get("schedule")
         if schedule is not None:  # train() writes both keys, and fuse reads both
             _check_fields(schedule, f"{path}: header 'schedule'", CheckpointFormatError,

@@ -20,8 +20,8 @@ from . import __version__
 from .checkpoint import load_checkpoint
 from .datacube import HsiCube, _atomic_write_text, _check_fields, read_cube, write_cube
 from .degrade import ObservationModel, load_srf, simulate_observations
-from .denoiser import DenoiserConfig, param_count
-from .metrics import FusionReport
+from .denoiser import DenoiserConfig, init_params, param_count
+from .metrics import FusionReport, psnr
 from .sampler import fuse, select_tau
 from .schedule import linear_schedule
 from .trainer import TrainConfig, _check_patch, train
@@ -56,8 +56,11 @@ def load_run_config(path) -> RunConfig:
             raise ValueError(f"{what} has unknown keys: {', '.join(unknown)}")
     sampler = _check_fields({"seed": 0, **raw["sampler"]}, f"{where} 'sampler'", ValueError,
                             counts=("seed",))
-    model = DenoiserConfig.from_dict(raw["model"])
-    train_cfg = TrainConfig.from_dict(raw["train"])
+    try:
+        model = DenoiserConfig.from_dict(raw["model"])
+        train_cfg = TrainConfig.from_dict(raw["train"])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     _check_patch(train_cfg.patch, model)
     data = raw["data"]
     for split in ("train", "test"):
@@ -99,7 +102,7 @@ def _write_manifest(primary_output, command: str, args: dict,
         "tool": "hsifusion",
         "version": __version__,
         "command": command,
-        "args": {k: str(v) for k, v in args.items()},
+        "args": {k: str(v) for k, v in args.items() if k != "func"},
         "seeds": seeds or {},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -134,9 +137,9 @@ def _cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     dataset = _load_triples(cfg.train_data)
     if not dataset:
-        print("error: run config lists no training data", file=sys.stderr)
-        return 2
-    print(f"training {param_count_of(cfg.model)} parameters for "
+        raise ValueError(f"{args.config}: run config lists no training data")
+    n_params = param_count(init_params(cfg.model, np.random.default_rng(0)))
+    print(f"training {n_params} parameters for "
           f"{cfg.train.iterations} steps -> {cfg.out_dir}")
     path = train(cfg.train, cfg.model, dataset, cfg.out_dir, resume_from=args.resume)
     _write_manifest(path, "train", vars(args),
@@ -145,17 +148,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def param_count_of(model_cfg: DenoiserConfig) -> int:
-    from .denoiser import init_params
-
-    return param_count(init_params(model_cfg, np.random.default_rng(0)))
-
-
 def _cmd_fuse(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.schedule is None:
-        print("error: checkpoint lacks schedule hyperparameters", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.checkpoint}: checkpoint lacks schedule hyperparameters")
     sched = linear_schedule(ckpt.schedule["T"], ckpt.schedule["beta_end"])
     y = read_cube(args.lr)
     z = read_cube(args.msi)
@@ -189,13 +185,11 @@ def _cmd_ablate(args) -> int:
     dataset = _load_triples(cfg.train_data)
     test = _load_triples(cfg.test_data)
     if not dataset or not test:
-        print("error: ablate needs both train and test data in the config", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.config}: ablate needs both train and test data in the config")
     steps_list = [int(s) for s in args.steps.split(",")]
     losses = [s.strip() for s in args.losses.split(",")]
     if any(l not in ("l1", "l2") for l in losses):
-        print(f"error: losses must be from l1,l2, got {losses}", file=sys.stderr)
-        return 2
+        raise ValueError(f"losses must be from l1,l2, got {losses}")
     # every step count is checked before the first model trains
     taus = {d: select_tau(cfg.train.T, d) for d in steps_list}
 
@@ -217,8 +211,7 @@ def _cmd_ablate(args) -> int:
                 fused = fuse(ckpt.params, ckpt.config, sched, y, z, taus[d],
                              sigma_mode="zero", rng_seed=seed)
                 elapsed += time.perf_counter() - t0
-                rep = FusionReport(scale=cfg.model.scale)
-                psnrs.append(rep.add(ref.name or "img", ref, fused)["psnr_db"])
+                psnrs.append(psnr(ref, fused))
             grid[loss_name][d] = float(np.mean(psnrs))
             # the loss does not change fusion cost, so every loss times the
             # same work; the fastest sample is the least disturbed by other load

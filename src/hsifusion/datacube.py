@@ -9,7 +9,10 @@ A cube file is a two-line text header followed by the raw payload:
     <bands * height * width little-endian float32 values, band-major>
 
 The format is deliberately minimal: endian-pinned, lossless for 32-bit data,
-and byte-countable from the header alone.
+and byte-countable from the header alone. ``HsiCube`` owns the metadata
+rules (``value_range`` and ``wavelengths_nm``): ``read_cube`` checks only the
+header's layout and sizes, and reports a metadata fault ``HsiCube`` finds as a
+``CubeFormatError`` naming the file.
 
 The checkpoint format shares the payload helpers: ``_read_header`` (a JSON
 object with typed required keys), ``_read_payload`` (sizes the rest of the
@@ -49,21 +52,18 @@ class HsiCube:
         self.data = np.asarray(self.data)
         if self.data.ndim != 3:
             raise ValueError(f"cube data must be 3-D (bands, H, W), got {self.data.shape}")
-        vr = self.value_range
+        vr, wl = self.value_range, self.wavelengths_nm
         if not (isinstance(vr, (tuple, list)) and len(vr) == 2 and all(map(_is_number, vr))
                 and vr[0] < vr[1]):
-            raise ValueError(f"value_range must be two finite numbers with lo < hi, "
-                             f"got {self.value_range!r}")
+            raise ValueError(f"has 'value_range' {vr!r}, not a list of two numbers "
+                             f"(finite, with lo < hi)")
         self.value_range = (float(vr[0]), float(vr[1]))
-        if self.wavelengths_nm is not None:
-            if not all(map(_is_number, self.wavelengths_nm)):
-                raise ValueError(f"wavelengths_nm must be finite numbers, "
-                                 f"got {self.wavelengths_nm!r}")
-            self.wavelengths_nm = [float(v) for v in self.wavelengths_nm]
-            if len(self.wavelengths_nm) != self.bands:
-                raise ValueError(
-                    f"{len(self.wavelengths_nm)} wavelengths for {self.bands} bands"
-                )
+        if wl is not None:
+            if not (isinstance(wl, (tuple, list, np.ndarray)) and all(map(_is_number, wl))):
+                raise ValueError(f"has 'wavelengths_nm' {wl!r}, not a list of numbers (finite)")
+            if len(wl) != self.bands:
+                raise ValueError(f"has {len(wl)} wavelengths for {self.bands} bands")
+            self.wavelengths_nm = [float(v) for v in wl]
 
     @property
     def bands(self) -> int:
@@ -235,19 +235,12 @@ def read_cube(path) -> HsiCube:
         for key, wanted in (("dtype", "f32"), ("interleave", "band-sequential")):
             if header[key] != wanted:
                 raise CubeFormatError(f"{path}: unsupported {key} '{header[key]}'")
-        value_range, wavelengths = header["value_range"], header.get("wavelengths_nm")
-        if not (isinstance(value_range, list) and len(value_range) == 2
-                and all(map(_is_number, value_range))):
-            raise CubeFormatError(
-                f"{path}: header has 'value_range' {value_range!r}, not a list of two numbers"
-            )
-        if wavelengths is not None and not (isinstance(wavelengths, list)
-                                            and all(map(_is_number, wavelengths))):
-            raise CubeFormatError(
-                f"{path}: header has 'wavelengths_nm' {wavelengths!r}, not a list of numbers"
-            )
         shape = (header["bands"], header["height"], header["width"])
         [data] = _read_payload(fh, [(shape, "<f4")], path, CubeFormatError)
     if not np.all(np.isfinite(data)):
         raise CubeFormatError(f"{path}: payload contains non-finite values")
-    return HsiCube(data, value_range=tuple(value_range), wavelengths_nm=wavelengths)
+    try:
+        return HsiCube(data, value_range=header["value_range"],
+                       wavelengths_nm=header.get("wavelengths_nm"))
+    except ValueError as exc:
+        raise CubeFormatError(f"{path}: header {exc}") from None

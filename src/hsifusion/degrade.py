@@ -43,6 +43,16 @@ class ObservationModel:
             raise ValueError("noise stds must be >= 0")
 
 
+def _add_noise(out: np.ndarray, std: float, rng: np.random.Generator | None) -> np.ndarray:
+    """``out`` plus N(0, std^2) noise from ``rng`` (a fresh generator when
+    None) if ``std`` > 0; else ``out`` itself."""
+    if std > 0:
+        if rng is None:
+            rng = np.random.default_rng()
+        out = out + rng.normal(scale=std, size=out.shape)
+    return out
+
+
 def spatial_degrade(
     x, model: ObservationModel, rng: np.random.Generator | None = None
 ) -> np.ndarray:
@@ -53,11 +63,7 @@ def spatial_degrade(
     if h % b or w % b:
         raise ValueError(f"spatial size {(h, w)} not divisible by block {b}")
     out = arr.reshape(bands, h // b, b, w // b, b).mean(axis=(2, 4))
-    if model.noise_std_y > 0:
-        if rng is None:
-            rng = np.random.default_rng()
-        out = out + rng.normal(scale=model.noise_std_y, size=out.shape)
-    return out.astype(arr.dtype)
+    return _add_noise(out, model.noise_std_y, rng).astype(arr.dtype)
 
 
 def spectral_degrade(
@@ -70,11 +76,7 @@ def spectral_degrade(
             f"srf expects {model.srf.shape[1]} bands, cube has {arr.shape[0]}"
         )
     out = np.tensordot(model.srf, arr, axes=(1, 0))
-    if model.noise_std_z > 0:
-        if rng is None:
-            rng = np.random.default_rng()
-        out = out + rng.normal(scale=model.noise_std_z, size=out.shape)
-    return out.astype(arr.dtype)
+    return _add_noise(out, model.noise_std_z, rng).astype(arr.dtype)
 
 
 def simulate_observations(

@@ -16,6 +16,15 @@ import numpy as np
 from .datacube import _is_int, _is_number
 
 
+def _check_T(T) -> int:
+    """``T`` as a Python int if it is an integer >= 1; else a ValueError."""
+    if not _is_int(T):
+        raise ValueError(f"T must be an integer, got {T!r}")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    return int(T)
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Variance sequence beta_t plus precomputed derived quantities.
@@ -29,6 +38,7 @@ class NoiseSchedule:
     one_minus_alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "T", _check_T(self.T))
         betas = np.asarray(self.betas, dtype=np.float64)
         if betas.shape != (self.T,):
             raise ValueError(f"expected {self.T} betas, got shape {betas.shape}")
@@ -67,10 +77,7 @@ def linear_schedule(T: int, beta_end: float) -> NoiseSchedule:
     a zero-variance first step would be a no-op with an ill-defined reverse
     kernel.
     """
-    if not _is_int(T):
-        raise ValueError(f"T must be an integer, got {T!r}")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _check_T(T)
     if not (_is_number(beta_end) and 0.0 < beta_end < 1.0):
         raise ValueError(f"beta_end must lie in (0, 1), got {beta_end!r}")
     t = np.arange(1, T + 1, dtype=np.float64)

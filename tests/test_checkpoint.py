@@ -294,6 +294,16 @@ class TestValidation:
         with pytest.raises(CheckpointFormatError, match=re.escape(message)):
             load_checkpoint(path)
 
+    def test_invalid_config_value_names_the_file(self, setup):
+        cfg, params, _, path = setup
+        save_checkpoint(path, cfg, params)
+        header = _header(path)
+        header["config"]["bands"] = 0
+        _with_header(path, header)
+        message = f"{path}: header 'config': model config 'bands' must be an integer >= 1, got 0"
+        with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("schedule", [None, {"T": 50, "beta_end": 0}])
     def test_null_schedule_and_integral_beta_end_load(self, setup, schedule):
         cfg, params, _, path = setup

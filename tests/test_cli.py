@@ -1,9 +1,13 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hsifusion
 from hsifusion.autodiff import Tensor
 from hsifusion.checkpoint import load_checkpoint, save_checkpoint
 from hsifusion.cli import _write_manifest, load_run_config, main
@@ -53,6 +57,24 @@ class TestSimulate:
         manifest = json.loads((tmp / "lr.hsic.manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["tool"] == "hsifusion"
+
+    def test_identical_runs_write_identical_manifests(self, workspace):
+        # two processes: a function's repr holds its address, which differs between them
+        tmp, gt, srf, cube = workspace
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hsifusion.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        script = "import sys; from hsifusion.cli import main; sys.exit(main(sys.argv[1:]))"
+        manifests = []
+        for _ in range(2):
+            done = subprocess.run(
+                [sys.executable, "-c", script, "simulate", "--in", str(gt), "--block",
+                 str(SCALE), "--srf", str(srf), "--out-lr", str(tmp / "lr.hsic"),
+                 "--out-msi", str(tmp / "msi.hsic")], env=env, timeout=120)
+            assert done.returncode == 0
+            manifest = json.loads((tmp / "lr.hsic.manifest.json").read_text())
+            del manifest["timestamp"]
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
 
     def test_failed_manifest_write_keeps_previous(self, tmp_path, full_disk):
         manifest = tmp_path / "lr.hsic.manifest.json"
@@ -178,6 +200,20 @@ class TestFuse:
         rc = main(["fuse", "--checkpoint", str(ckpt), "--lr", str(tmp / "msi.hsic"),
                    "--msi", str(tmp / "lr.hsic"), "--out", str(tmp / "x.hsic")])
         assert rc != 0
+
+    def test_checkpoint_without_schedule_named(self, workspace, rng, capsys):
+        tmp, gt, srf, cube = workspace
+        main(["simulate", "--in", str(gt), "--block", str(SCALE), "--srf", str(srf),
+              "--out-lr", str(tmp / "lr.hsic"), "--out-msi", str(tmp / "msi.hsic")])
+        ckpt_path, cfg = make_checkpoint(tmp, rng)
+        save_checkpoint(ckpt_path, cfg, load_checkpoint(ckpt_path).params)
+        capsys.readouterr()
+        rc = main(["fuse", "--checkpoint", str(ckpt_path), "--lr", str(tmp / "lr.hsic"),
+                   "--msi", str(tmp / "msi.hsic"), "--out", str(tmp / "x.hsic")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt_path}: ") and "lacks schedule" in err
+        assert not (tmp / "x.hsic").exists()
 
     def test_default_tile_stride_beyond_tile_rejected(self, workspace, rng, capsys):
         # --tile 16 with the default --tile-stride 48 used to leave zero stripes
@@ -351,6 +387,26 @@ class TestTrainCommand:
         cfg_path = write_run_config(tmp, broken, [])
         assert main(["train", "--config", str(cfg_path)]) != 0
 
+    def test_no_training_data_named(self, dataset_on_disk, capsys):
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, [], entries)
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: ") and "no training data" in err
+        assert not (tmp / "run").exists()
+
+    @pytest.mark.parametrize("section,key", [("model", "bands"), ("train", "batch_size")])
+    def test_invalid_model_or_train_value_names_the_config(self, dataset_on_disk, capsys,
+                                                           section, key):
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, entries[:1], [])
+        doc = json.loads(cfg_path.read_text())
+        doc[section][key] = 0
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: run config: {section} config '{key}' must be")
+
     def test_divisibility_validated(self, dataset_on_disk):
         tmp, entries = dataset_on_disk
         cfg_path = write_run_config(tmp, entries[:1], [])
@@ -483,6 +539,16 @@ class TestAblateCommand:
             assert len(line.split("\t")) == 4
         doc = json.loads((tmp / "grid.tsv.json").read_text())
         assert set(doc["psnr"]) == {"l1", "l2"}
+
+    def test_no_test_data_named(self, dataset_on_disk, capsys):
+        tmp, entries = dataset_on_disk
+        cfg_path = write_run_config(tmp, entries, [])
+        rc = main(["ablate", "--config", str(cfg_path), "--steps", "1", "--losses", "l1",
+                   "--report", str(tmp / "g.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: ") and "test data" in err
+        assert not (tmp / "run").exists() and not (tmp / "g.tsv").exists()
 
     def test_bad_step_count_rejected_before_training(self, dataset_on_disk, capsys):
         tmp, entries = dataset_on_disk

@@ -157,6 +157,18 @@ class TestValidation:
                            match=re.escape(f"has '{field}' {value!r}, not {what}")):
             read_cube(p)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("value_range", [1, 0], "header has 'value_range' [1, 0], not a list of two numbers"),
+        ("wavelengths_nm", [400], "header has 1 wavelengths for 2 bands"),
+    ])
+    def test_cube_metadata_fault_names_the_file(self, tmp_path, field, value, message):
+        p = tmp_path / "bad.hsic"
+        header = {"bands": 2, "height": 2, "width": 2, "dtype": "f32",
+                  "interleave": "band-sequential", "value_range": [0, 1], field: value}
+        p.write_bytes(b"HSICUBE 1\n" + json.dumps(header).encode() + b"\n" + b"\x00" * 32)
+        with pytest.raises(CubeFormatError, match=re.escape(f"{p}: {message}")):
+            read_cube(p)
+
     @pytest.mark.parametrize("wavelengths", [None, [400, 500.5]])
     def test_integral_range_and_optional_wavelengths_load(self, tmp_path, wavelengths):
         p = tmp_path / "ok.hsic"

@@ -72,6 +72,41 @@ class TestSpectralDegrade:
             spectral_degrade(rng.random((4, 3, 3)), model())
 
 
+class TestObservationNoise:
+    # the noise branch of spectral_degrade is what `hsifusion simulate --noise-z` runs
+    def test_seeded_noise_reproducible(self):
+        x = np.zeros((3, 8, 8), dtype=np.float32)
+        m = model(block=1, noise_std_z=0.1)
+        a, b = (spectral_degrade(x, m, np.random.default_rng(5)) for _ in range(2))
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == np.float32 and np.std(a) > 0
+
+    def test_noise_std_matches_config(self):
+        x = np.zeros((3, 64, 64), dtype=np.float32)
+        out = spectral_degrade(x, model(block=1, noise_std_z=0.1), np.random.default_rng(5))
+        # 12288 samples: the sample std's relative error is about 0.6%
+        assert np.std(out) == pytest.approx(0.1, rel=0.03)
+        assert abs(np.mean(out)) < 0.005
+
+    def test_noise_without_generator(self):
+        out = spectral_degrade(np.zeros((3, 8, 8), dtype=np.float32),
+                               model(block=1, noise_std_z=0.1))
+        assert np.std(out) > 0
+
+    def test_simulate_draws_y_noise_then_z_noise(self, rng):
+        # one generator: y's noise first, then z's, each one normal() call
+        cube = HsiCube(rng.random((3, 8, 8)).astype(np.float32))
+        m = model(block=2, srf=uniform_band_groups(3, 2), noise_std_y=0.05, noise_std_z=0.1)
+        y, z = simulate_observations(cube, m, np.random.default_rng(3))
+        draws = np.random.default_rng(3)
+        y_ref = cube.data.reshape(3, 4, 2, 4, 2).mean(axis=(2, 4))
+        y_ref = y_ref + draws.normal(scale=0.05, size=y_ref.shape)
+        z_ref = np.tensordot(m.srf, cube.data, axes=(1, 0))
+        z_ref = z_ref + draws.normal(scale=0.1, size=z_ref.shape)
+        np.testing.assert_array_equal(y.data, y_ref.astype(np.float32))
+        np.testing.assert_array_equal(z.data, z_ref.astype(np.float32))
+
+
 class TestObservationModel:
     def test_rows_normalized_on_construction(self):
         m = ObservationModel(block=2, srf=np.array([[2.0, 2.0], [1.0, 3.0]]))

@@ -53,6 +53,15 @@ class TestLinearSchedule:
         with pytest.raises(ValueError):
             NoiseSchedule(T=2, betas=np.array([0.1, 1.5]))
 
+    @pytest.mark.parametrize("T,betas,match", [
+        (True, [0.1], "T must be an integer, got True"),
+        (2.0, [0.1, 0.2], "T must be an integer, got 2.0"),
+        (0, [], "T must be >= 1, got 0"),
+    ])
+    def test_schedule_T_checked(self, T, betas, match):
+        with pytest.raises(ValueError, match=match):
+            NoiseSchedule(T=T, betas=np.array(betas))
+
 
 class TestMarginalCoeffs:
     def test_quarter_alpha_bar(self):
